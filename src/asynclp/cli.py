@@ -20,7 +20,6 @@ import numpy as np
 from . import distributed, engine, formulation, oracle, problems
 from .stationarity import build_system
 
-_ENGINE_MODES = ("sync", "sweep", "bernoulli", "randomk")
 _ORACLE_SUBSET_LIMIT = 500_000
 
 
@@ -195,32 +194,38 @@ def cmd_experiment(args) -> int:
                "sparsity": args.sparsity if args.preset == "bp" else None,
                "trials": args.trials, "mode": args.mode,
                "homotopy": args.homotopy, "groups": {}}
-    combined_rows = []
-    for label, p in groups:
-        stats = {"objective": [], "log_residual": [], "log_dist": []}
-        converged_count = 0
-        final_residuals = []
-        for t in range(args.trials):
-            trial_seed = args.seed + t
-            inst = _gen_instance(args, trial_seed)
-            system = build_system(encode(inst))
-            if args.preset == "bp":
-                reference = {"x": inst.x_true}
-            else:
-                reference = _reference_for(inst, system, args)
+    stats = {label: {"objective": [], "log_residual": [], "log_dist": [],
+                     "converged": 0, "final_residual": []}
+             for label, _ in groups}
+    for t in range(args.trials):
+        trial_seed = args.seed + t
+        inst = _gen_instance(args, trial_seed)
+        system = build_system(encode(inst))
+        if args.preset == "bp":
+            reference = {"x": inst.x_true}
+        else:
+            reference = _reference_for(inst, system, args)
+        for label, p in groups:
             run_args = argparse.Namespace(**vars(args))
             if p is not None:
                 run_args.p = p
             result, traj = _run_once(system, run_args, trial_seed, reference)
-            converged_count += bool(result["converged"])
-            final_residuals.append(result["residual"])
+            group = stats[label]
+            group["converged"] += bool(result["converged"])
+            group["final_residual"].append(result["residual"])
             obj, res, dist = _unit_grid(traj, units)
-            stats["objective"].append(obj)
-            stats["log_residual"].append(_log10(res))
-            stats["log_dist"].append(_log10(dist))
-        O = np.vstack(stats["objective"])
-        R = np.vstack(stats["log_residual"])
-        D = np.vstack(stats["log_dist"])
+            group["objective"].append(obj)
+            group["log_residual"].append(_log10(res))
+            group["log_dist"].append(_log10(dist))
+
+    combined_rows = []
+    for label, _ in groups:
+        group = stats[label]
+        converged_count = group["converged"]
+        final_residuals = group["final_residual"]
+        O = np.vstack(group["objective"])
+        R = np.vstack(group["log_residual"])
+        D = np.vstack(group["log_dist"])
         rows = []
         for u in range(units + 1):
             rows.append([
@@ -286,7 +291,7 @@ def cmd_oracle(args) -> int:
 # argument plumbing
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=_ENGINE_MODES + ("distributed",),
+    p.add_argument("--mode", choices=engine._MODES + ("distributed",),
                    help="update schedule (default bernoulli; sync needs a "
                         "full-length ramp homotopy to converge)")
     p.add_argument("--p", type=float, help="firing probability for bernoulli")

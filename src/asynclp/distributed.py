@@ -1,17 +1,18 @@
 """Simulated distributed execution over a shared associative array.
 
-The reduced system is laid out as keyed cells the way a distributed key-value
-store would hold it: one read-only column g(k) of G' per coordinate, the
-read-only offset e, and one scalar cell per coordinate for c2(k) and d2(k).
-Workers repeat three stages with no coordination beyond per-cell atomicity:
+The reduced system is laid out the way a distributed key-value store would
+hold it: one read-only column g(k) of G' per coordinate (row k of a K x K
+array), the read-only offset e, and the vectors c2 and d2.  Workers repeat
+three stages:
 
     lookup     read d_hat = d2(k), c_hat = c2(k) and the column g(k)
     compute    delta = gamma * m_k(d_hat) - c_hat
-    increment  d2(j) += g(k)_j * delta for all j, then c2(k) += delta
+    increment  d2 += g(k) * delta, then c2(k) += delta
 
-Reads may observe values staler than concurrent increments; increments are
-never lost.  A delta of zero performs no writes.  Snapshots for monitoring are
-taken without locks and tolerate staleness.
+Lookups take no lock, so they may be stale and may even see an increment
+half applied.  One lock guards the increment stage, so increments are never
+lost.  A delta of zero performs no writes.  Snapshots for monitoring are
+lock-free copies and tolerate staleness.
 
 A single-worker run is bit-for-bit the engine's random-coordinate schedule:
 same RNG stream, same update arithmetic, same recording cadence.
@@ -26,26 +27,6 @@ import numpy as np
 
 from .engine import Trajectory, _distance_to_reference, make_gamma
 from .stationarity import StationaritySystem
-
-
-class AtomicCell:
-    """A float cell with atomic increments (lock around +=)."""
-
-    __slots__ = ("_value", "_lock")
-
-    def __init__(self, value: float = 0.0):
-        self._value = float(value)
-        self._lock = threading.Lock()
-
-    @property
-    def value(self) -> float:
-        # lock-free read; may be stale relative to in-flight increments
-        return self._value
-
-    def add(self, delta: float) -> float:
-        with self._lock:
-            self._value += delta
-            return self._value
 
 
 class AtomicCounter:
@@ -69,51 +50,51 @@ class AtomicCounter:
 
 @dataclass
 class AssocArray:
-    """Keyed view of a reduced system: columns, offset, and scalar cells."""
+    """Keyed view of a reduced system: columns, offset, and state vectors.
 
-    g: list[np.ndarray]
+    Row k of the read-only array `g` is column k of G'.  `lock` guards
+    every write to `d2` and `c2`; reads take no lock.
+    """
+
+    g: np.ndarray
     e: np.ndarray
-    c2: list[AtomicCell]
-    d2: list[AtomicCell]
+    c2: np.ndarray
+    d2: np.ndarray
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def n_coords(self) -> int:
         return len(self.c2)
 
+    def increment(self, k: int, delta: float) -> None:
+        """Add delta to c2(k) and delta * g(k) to d2, atomically for writers."""
+        step = self.g[k] * delta
+        with self.lock:
+            self.d2 += step
+            self.c2[k] += delta
+
     def snapshot_c2(self) -> np.ndarray:
-        return np.array([cell.value for cell in self.c2])
+        return self.c2.copy()
 
     def snapshot_d2(self) -> np.ndarray:
-        return np.array([cell.value for cell in self.d2])
+        return self.d2.copy()
 
 
 def init_array(system: StationaritySystem) -> AssocArray:
-    """Cold-start layout: c2 cells at 0, d2 cells at e, read-only g columns."""
-    K = system.n_nonlinear
-    g = [system.Gprime[:, k].copy() for k in range(K)]
-    for col in g:
-        col.setflags(write=False)
+    """Cold-start layout: c2 at 0, d2 at e, read-only rows g(k) = G'[:, k]."""
+    g = system.Gprime.T.copy()
+    g.setflags(write=False)
     e = system.e.copy()
     e.setflags(write=False)
-    return AssocArray(
-        g=g,
-        e=e,
-        c2=[AtomicCell(0.0) for _ in range(K)],
-        d2=[AtomicCell(system.e[k]) for k in range(K)],
-    )
+    return AssocArray(g=g, e=e, c2=np.zeros(system.n_nonlinear), d2=e.copy())
 
 
 def worker_update(array: AssocArray, system: StationaritySystem, k: int,
                   gamma: float = 1.0, log: list | None = None) -> float:
     """One lookup/compute/increment cycle on coordinate k; returns delta."""
-    d_hat = array.d2[k].value
-    c_hat = array.c2[k].value
-    delta = system.m_scalar(k, d_hat, gamma) - c_hat
+    delta = system.m_scalar(k, array.d2[k], gamma) - array.c2[k]
     if delta != 0.0:
-        col = array.g[k]
-        for j in range(array.n_coords):
-            array.d2[j].add(col[j] * delta)
-        array.c2[k].add(delta)
+        array.increment(k, delta)
     if log is not None:
         log.append((k, delta))
     return delta

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from asynclp import cli, problems
+from asynclp import cli, oracle, problems
 from asynclp.formulation import StandardLP, save_problem, to_asynchronous_form
 
 
@@ -174,6 +174,22 @@ def test_experiment_chebyshev_bernoulli(tmp_path):
     assert summary["groups"]["p=0.5"]["converged"] == 2
     assert summary["groups"]["p=0.5"]["median_final_residual"] < 1e-6
     assert (out / "experiment_p0.5.csv").exists()
+
+
+def test_experiment_sets_up_each_trial_once(tmp_path, monkeypatch):
+    calls = []
+    reference = oracle.solve_chebyshev_reference
+
+    def counted(A, b):
+        calls.append(1)
+        return reference(A, b)
+
+    monkeypatch.setattr(oracle, "solve_chebyshev_reference", counted)
+    rc = cli.main(["experiment", "--preset", "chebyshev", "--n", "3",
+                   "--m", "6", "--trials", "2", "--p-list", "0.2,0.5,0.8",
+                   "--max-equiv-iters", "50", "--out", str(tmp_path / "exp")])
+    assert rc == 0
+    assert len(calls) == 2
 
 
 def test_cli_requires_subcommand():

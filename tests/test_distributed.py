@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -16,21 +17,43 @@ def _small_system(seed=0):
 
 
 # ---------------------------------------------------------------------------
-# cells
+# store
 
-def test_atomic_cell_concurrent_adds_lose_nothing():
-    cell = ds.AtomicCell(0.0)
+def test_store_concurrent_increments_lose_nothing():
+    # numpy releases the interpreter lock inside adds over more than a few
+    # hundred elements, so only a wide store lets unlocked increments race
+    K, k, adds, n_threads = 4096, 2, 10_000, 4
+    rng = np.random.default_rng(0)
+    g = np.broadcast_to(rng.standard_normal(K), (K, K))
+    e = rng.standard_normal(K)
+
+    def store():
+        return ds.AssocArray(g=g, e=e, c2=np.zeros(K), d2=e.copy())
+
+    array = store()
 
     def bump():
-        for _ in range(10_000):
-            cell.add(1.0)
+        for _ in range(adds):
+            array.increment(k, 1.0)
 
-    threads = [threading.Thread(target=bump) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert cell.value == 40_000.0
+    threads = [threading.Thread(target=bump) for _ in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+    serial = store()
+    for _ in range(n_threads * adds):
+        serial.increment(k, 1.0)
+    assert np.array_equal(array.d2, serial.d2)
+    assert array.c2[k] == float(n_threads * adds)
+    assert np.count_nonzero(array.c2) == 1
 
 
 def test_atomic_counter():
@@ -81,7 +104,7 @@ def test_worker_update_zero_delta_writes_nothing():
     assert first != 0.0
     # the coordinate's own d2 entry moved, so a second fire usually has a
     # small delta; force an exact zero by re-pinning c2 to the current match
-    array.c2[k] = ds.AtomicCell(system.m_scalar(k, array.d2[k].value))
+    array.c2[k] = system.m_scalar(k, array.d2[k])
     d_after = array.snapshot_d2()
     c_after = array.snapshot_c2()
     second = ds.worker_update(array, system, k)
@@ -127,6 +150,16 @@ def test_multi_worker_run_converges_and_reports():
         d = rep.to_dict()
         assert d["worker"] == rep.worker
     assert sum(rep.updates for rep in reports) >= len(traj) - 1
+
+
+def test_two_worker_run_loses_no_increment():
+    # every increment keeps d2 = G' c2 + e; a lost one would break it
+    system = _small_system(seed=8)
+    d2, c2, _, reports, _ = ds.run_distributed(
+        system, workers=2, max_equiv_iters=500, tol=0.0, seed=0,
+        homotopy="bp")
+    assert sum(rep.updates for rep in reports) >= 500 * system.n_nonlinear
+    assert np.max(np.abs(d2 - (system.Gprime @ c2 + system.e))) <= 1e-12
 
 
 def test_run_distributed_budget_zero_returns_initial_state():
