@@ -23,7 +23,6 @@ from .engine import (
     constant_gamma,
     empirical_lipschitz,
     geometric_ramp,
-    homotopy_operator,
     incremental_step,
     init_state,
     make_gamma,
@@ -55,7 +54,6 @@ from .problems import (
     ChebyshevInstance,
     basis_pursuit_encode,
     basis_pursuit_recover,
-    bp_homotopy_schedule,
     chebyshev_encode,
     chebyshev_recover,
     gen_basis_pursuit,
@@ -96,7 +94,6 @@ __all__ = [
     "async_tick",
     "basis_pursuit_encode",
     "basis_pursuit_recover",
-    "bp_homotopy_schedule",
     "build_G",
     "build_G_factored",
     "build_R",
@@ -108,7 +105,6 @@ __all__ = [
     "gen_basis_pursuit",
     "gen_chebyshev",
     "geometric_ramp",
-    "homotopy_operator",
     "incremental_step",
     "init_array",
     "init_state",

@@ -57,32 +57,29 @@ def _run_once(system, args, seed, reference=None):
         d2, c2, traj, reports, converged = distributed.run_distributed(
             system, workers=args.workers, max_equiv_iters=args.max_equiv_iters,
             tol=args.tol, seed=seed, homotopy=args.homotopy, reference=reference)
-        values = system.recover_variables(d2, c2)
-        result = {
-            "mode": "distributed",
-            "workers": args.workers,
-            "converged": bool(converged),
-            "residual": system.residual(d2),
-            "equivalent_iterations": traj.equiv_iter[-1] if len(traj) else 0.0,
-            "objective": system.problem.objective_value(values),
-            "variables": {k: v.tolist() for k, v in values.items()},
-            "worker_reports": [r.to_dict() for r in reports],
-        }
-        return result, traj
-    schedule = engine.ScheduleConfig(mode=args.mode, p=args.p, seed=seed,
-                                     homotopy=args.homotopy)
-    state, traj = engine.run(system, schedule,
-                             max_equiv_iters=args.max_equiv_iters,
-                             tol=args.tol, reference=reference)
-    values = system.recover_variables(state.d2, state.c2)
+        equiv = traj.equiv_iter[-1] if len(traj) else 0.0
+        head = {"mode": "distributed", "workers": args.workers}
+        tail = {"worker_reports": [r.to_dict() for r in reports]}
+    else:
+        schedule = engine.ScheduleConfig(mode=args.mode, p=args.p, seed=seed,
+                                         homotopy=args.homotopy)
+        state, traj = engine.run(system, schedule,
+                                 max_equiv_iters=args.max_equiv_iters,
+                                 tol=args.tol, reference=reference)
+        d2, c2, converged = state.d2, state.c2, state.converged
+        equiv = state.equivalent_iterations
+        head = {"mode": args.mode,
+                "p": args.p if args.mode == "bernoulli" else None}
+        tail = {}
+    values = system.recover_variables(d2, c2)
     result = {
-        "mode": args.mode,
-        "p": args.p if args.mode == "bernoulli" else None,
-        "converged": bool(state.converged),
-        "residual": system.residual(state.d2),
-        "equivalent_iterations": state.equivalent_iterations,
+        **head,
+        "converged": bool(converged),
+        "residual": system.residual(d2),
+        "equivalent_iterations": equiv,
         "objective": system.problem.objective_value(values),
         "variables": {k: v.tolist() for k, v in values.items()},
+        **tail,
     }
     return result, traj
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Trajectory, _distance_to_reference, make_gamma
+from .engine import Trajectory, make_gamma
 from .stationarity import StationaritySystem
 
 
@@ -143,13 +143,8 @@ def run_distributed(system: StationaritySystem, workers: int = 1,
     def record_row() -> float:
         d2 = array.snapshot_d2()
         c2 = array.snapshot_c2()
-        res = system.residual(d2)
-        values = system.recover_variables(d2, c2)
-        obj = system.problem.objective_value(values)
         with traj_lock:
-            traj.append(fired.value / K, obj, res,
-                        _distance_to_reference(values, reference))
-        return res
+            return traj.record(system, fired.value / K, d2, c2, reference)
 
     res0 = record_row()
     if res0 <= tol or budget_updates == 0:

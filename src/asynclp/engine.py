@@ -127,7 +127,6 @@ class SolverState:
 
     c2: np.ndarray
     d2: np.ndarray
-    tick: int = 0
     fired_updates: int = 0
     converged: bool | None = None
 
@@ -153,7 +152,6 @@ def sync_step(state: SolverState, system: StationaritySystem, gamma: float = 1.0
     state.c2 = system.m(state.d2, gamma)
     state.d2 = system.Gprime @ state.c2 + system.e
     state.fired_updates += state.n_coords
-    state.tick += 1
 
 
 def simultaneous_sweep_step(state: SolverState, system: StationaritySystem,
@@ -167,7 +165,6 @@ def simultaneous_sweep_step(state: SolverState, system: StationaritySystem,
     state.d2 = state.d2 + system.Gprime @ (mnew - state.c2)
     state.c2 = mnew
     state.fired_updates += state.n_coords
-    state.tick += 1
 
 
 def incremental_step(state: SolverState, system: StationaritySystem, k: int,
@@ -177,7 +174,6 @@ def incremental_step(state: SolverState, system: StationaritySystem, k: int,
     state.d2 += system.Gprime[:, k] * delta
     state.c2[k] += delta
     state.fired_updates += 1
-    state.tick += 1
 
 
 def sweep_step(state: SolverState, system: StationaritySystem, gamma: float = 1.0) -> None:
@@ -187,7 +183,6 @@ def sweep_step(state: SolverState, system: StationaritySystem, gamma: float = 1.
         state.d2 += system.Gprime[:, k] * delta
         state.c2[k] += delta
     state.fired_updates += state.n_coords
-    state.tick += 1
 
 
 def async_tick(state: SolverState, system: StationaritySystem, p: float,
@@ -203,7 +198,6 @@ def async_tick(state: SolverState, system: StationaritySystem, p: float,
     state.d2 = system.Gprime @ state.c2 + system.e
     fired = int(fires.sum())
     state.fired_updates += fired
-    state.tick += 1
     return fired
 
 
@@ -225,6 +219,27 @@ class Trajectory:
         self.residual.append(res)
         self.dist_to_ref.append(dist)
 
+    def record(self, system: StationaritySystem, equiv: float, d2: np.ndarray,
+               c2: np.ndarray, reference: dict[str, np.ndarray] | None = None,
+               ) -> float:
+        """Append the row of state (d2, c2) at `equiv`; returns its residual.
+
+        dist_to_ref is the 2-norm over all variables of the distance to
+        `reference`, or NaN without one.
+        """
+        res = system.residual(d2)
+        values = system.recover_variables(d2, c2)
+        obj = system.problem.objective_value(values)
+        dist = float("nan")
+        if reference:
+            total = 0.0
+            for name, ref in reference.items():
+                diff = values[name] - np.asarray(ref, dtype=float)
+                total += float(np.dot(diff, diff))
+            dist = math.sqrt(total)
+        self.append(equiv, obj, res, dist)
+        return res
+
     def __len__(self) -> int:
         return len(self.equiv_iter)
 
@@ -235,17 +250,6 @@ class Trajectory:
             for row in zip(self.equiv_iter, self.objective, self.residual,
                            self.dist_to_ref):
                 w.writerow(row)
-
-
-def _distance_to_reference(values: dict[str, np.ndarray],
-                           reference: dict[str, np.ndarray] | None) -> float:
-    if not reference:
-        return float("nan")
-    total = 0.0
-    for name, ref in reference.items():
-        diff = values[name] - np.asarray(ref, dtype=float)
-        total += float(np.dot(diff, diff))
-    return math.sqrt(total)
 
 
 def run(system: StationaritySystem, schedule: ScheduleConfig,
@@ -279,15 +283,8 @@ def run(system: StationaritySystem, schedule: ScheduleConfig,
     gamma = schedule.gamma
     traj = Trajectory()
 
-    def record() -> float:
-        res = system.residual(state.d2)
-        values = system.recover_variables(state.d2, state.c2)
-        obj = system.problem.objective_value(values)
-        traj.append(state.equivalent_iterations, obj, res,
-                    _distance_to_reference(values, reference))
-        return res
-
-    res = record()
+    res = traj.record(system, state.equivalent_iterations, state.d2, state.c2,
+                      reference)
     if res <= tol:
         state.converged = True
         return state, traj
@@ -307,7 +304,8 @@ def run(system: StationaritySystem, schedule: ScheduleConfig,
         else:  # randomk
             incremental_step(state, system, int(rng.integers(K)), g)
         if state.fired_updates // K > units_before:
-            res = record()
+            res = traj.record(system, state.equivalent_iterations, state.d2,
+                              state.c2, reference)
             if res <= tol:
                 state.converged = True
                 break
@@ -315,22 +313,7 @@ def run(system: StationaritySystem, schedule: ScheduleConfig,
 
 
 # ---------------------------------------------------------------------------
-# operators and empirical Lipschitz estimation
-
-def homotopy_operator(system: StationaritySystem, alpha: float) -> Callable:
-    """T'(d2) = alpha T(d2) + (1 - alpha) T0(d2) with T0 the constant map e.
-
-    Collapses to alpha G' m(d2) + e, i.e. the gamma-scaled operator; its
-    Lipschitz constant is at most alpha.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-
-    def T(d2: np.ndarray) -> np.ndarray:
-        return system.operator(np.asarray(d2, dtype=float), alpha)
-
-    return T
-
+# empirical Lipschitz estimation
 
 def empirical_lipschitz(T: Callable, dim: int, samples: int = 1000,
                         rng: np.random.Generator | None = None,

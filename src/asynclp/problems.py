@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import power_ramp
 from .formulation import AsyncFormProblem, Kind, Role, VariableSpec
 from .stationarity import StationaritySystem
 
@@ -161,14 +160,6 @@ def basis_pursuit_recover(system: StationaritySystem, d2: np.ndarray,
                           c2: np.ndarray) -> np.ndarray:
     """x from a converged state; x occupies all nonlinear coordinates."""
     return (d2 + c2) / 2.0
-
-
-def bp_homotopy_schedule(k: int) -> float:
-    """Nonlinearity scaling used for basis pursuit: 1 - 0.95**(k*k) for the
-    first ten equivalent iterations, exactly 1 afterwards."""
-    if k < 1:
-        raise ValueError("schedule is defined for k >= 1")
-    return power_ramp(k, base=0.95, cutoff=10)
 
 
 # ---------------------------------------------------------------------------

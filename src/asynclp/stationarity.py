@@ -14,6 +14,9 @@ coordinate-wise, its shape determined by each vector's kind and side:
     l1_cost       c =  m1(d)       c = -m1(d)
 
 with m1 the saturating soft map: d+2 below -1, -d on [-1, 1], d-2 above 1.
+This table is written once, in _AFFINE_SLOPE (the input-side slope s of the
+affine maps, c = s (d - 2 rho)) and _BASE (the input-side base map of the
+nonlinear kinds); the output side negates both.
 At a fixed point the solution is read off as z1 = (d + c)/2 on input
 coordinates and z2 = (d - c)/2 on output coordinates.
 
@@ -89,6 +92,12 @@ def m1(d):
     return np.where(d < -1.0, d + 2.0, np.where(d > 1.0, d - 2.0, -d))
 
 
+# The map table of the module docstring (input side; outputs negate both).
+_SIGN = {Role.INPUT: 1.0, Role.OUTPUT: -1.0}
+_AFFINE_SLOPE = {Kind.FIXED: -1.0, Kind.LINEAR_COST: 1.0}
+_BASE = {Kind.NON_NEGATIVE: np.abs, Kind.L1_COST: m1}
+
+
 def apply_nonlinearity(kind: Kind, role: Role, d, rho=0.0, gamma: float = 1.0):
     """Coordinate-wise stationarity map for one (kind, side) pair.
 
@@ -96,36 +105,31 @@ def apply_nonlinearity(kind: Kind, role: Role, d, rho=0.0, gamma: float = 1.0):
     are always applied exactly.
     """
     kind = Kind(kind)
-    role = Role(role)
+    sign = _SIGN[Role(role)]
     d = np.asarray(d, dtype=float)
-    sign = 1.0 if role is Role.INPUT else -1.0
-    if kind is Kind.FIXED:
-        return -sign * d + sign * 2.0 * np.asarray(rho, dtype=float)
-    if kind is Kind.LINEAR_COST:
-        return sign * d - sign * 2.0 * np.asarray(rho, dtype=float)
-    if kind is Kind.NON_NEGATIVE:
-        return sign * (gamma * np.abs(d))
-    if kind is Kind.L1_COST:
-        return sign * (gamma * m1(d))
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind in _AFFINE_SLOPE:
+        s = sign * _AFFINE_SLOPE[kind]
+        return s * d - 2.0 * s * np.asarray(rho, dtype=float)
+    return sign * (gamma * _BASE[kind](d))
 
 
 def _coordinate_tables(problem: AsyncFormProblem):
     """Flatten variable declarations into per-coordinate arrays.
 
     Coordinates are ordered inputs-then-outputs, each group in declaration
-    order.  Returns (kinds, is_input, rho) arrays over all Q+P coordinates.
+    order.  Returns (kinds, sign, rho) over all Q+P coordinates, with sign
+    +1 on inputs and -1 on outputs.
     """
     kinds: list[Kind] = []
-    is_input: list[bool] = []
+    sign: list[float] = []
     rho: list[float] = []
     for v in problem.specs():
         r = v.rho if v.rho is not None else np.zeros(v.length)
         for i in range(v.length):
             kinds.append(v.kind)
-            is_input.append(v.role is Role.INPUT)
+            sign.append(_SIGN[v.role])
             rho.append(float(r[i]))
-    return kinds, np.asarray(is_input), np.asarray(rho)
+    return kinds, np.asarray(sign), np.asarray(rho)
 
 
 @dataclass
@@ -214,19 +218,15 @@ class StationaritySystem:
         c[self.affine_idx] = c1
         d[self.nonlinear_idx] = d2
         c[self.nonlinear_idx] = c2
+        slices = self.problem.variable_slices()
         out: dict[str, np.ndarray] = {}
-        pos = 0
         for v in self.problem.specs():
-            sl = slice(pos, pos + v.length)
+            sl = slices[v.name]
             if v.role is Role.INPUT:
                 out[v.name] = (d[sl] + c[sl]) / 2.0
             else:
                 out[v.name] = (d[sl] - c[sl]) / 2.0
-            pos += v.length
         return out
-
-    def objective_at(self, d2: np.ndarray, c2: np.ndarray) -> float:
-        return self.problem.objective_value(self.recover_variables(d2, c2))
 
     def dump(self, path) -> None:
         """Binary dump of the operator data (numpy .npz; see README for keys)."""
@@ -263,7 +263,7 @@ def reduce(G: np.ndarray, problem: AsyncFormProblem) -> StationaritySystem:
     errors = validate_async_form(problem)
     if errors:
         raise ValueError("invalid problem: " + "; ".join(errors))
-    kinds, is_input, rho = _coordinate_tables(problem)
+    kinds, sign, rho = _coordinate_tables(problem)
     n = len(kinds)
     if G.shape != (n, n):
         raise ValueError(f"G has shape {G.shape}, expected ({n}, {n})")
@@ -276,22 +276,12 @@ def reduce(G: np.ndarray, problem: AsyncFormProblem) -> StationaritySystem:
             "reduction needs at least one affine and one nonlinear coordinate"
         )
 
-    # affine maps c = S d + h, coordinate-wise
-    s = np.empty(len(affine_idx))
-    h = np.empty(len(affine_idx))
-    for j, i in enumerate(affine_idx):
-        fixed = kinds[i] is Kind.FIXED
-        inp = bool(is_input[i])
-        # fixed input and unconstrained output flip the sign; the other two keep it
-        if fixed == inp:
-            s[j] = -1.0
-            h[j] = 2.0 * rho[i]
-        else:
-            s[j] = 1.0
-            h[j] = -2.0 * rho[i]
+    # affine maps c = S d + h, coordinate-wise, from the map table
+    s = sign[affine_idx] * np.asarray([_AFFINE_SLOPE[kinds[i]] for i in affine_idx])
+    h = -2.0 * s * rho[affine_idx]
 
-    nl_sign = np.where(is_input[nonlinear_idx], 1.0, -1.0)
-    nl_is_l1 = np.asarray([kinds[i] is Kind.L1_COST for i in nonlinear_idx])
+    nl_sign = sign[nonlinear_idx]
+    nl_is_l1 = np.asarray([_BASE[kinds[i]] is m1 for i in nonlinear_idx])
 
     G11 = G[np.ix_(affine_idx, affine_idx)]
     G12 = G[np.ix_(affine_idx, nonlinear_idx)]

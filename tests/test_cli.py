@@ -1,9 +1,13 @@
 import csv
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import asynclp
 from asynclp import cli, oracle, problems
 from asynclp.formulation import StandardLP, save_problem, to_asynchronous_form
 
@@ -89,6 +93,15 @@ def test_solve_sync_with_ramp(lp_file, tmp_path):
                    "--tol", "1e-8", "--out", str(out)])
     assert rc == 0
     assert _read_solution(out)["converged"]
+
+
+def test_solve_infeasible_exits_not_converged(tmp_path, capsys):
+    path = tmp_path / "infeasible.json"
+    save_problem(StandardLP(f=[1.0], A=[[1.0]], b=[-1.0]), path)
+    rc = cli.main(["solve", "--problem", str(path), "--max-equiv-iters", "200",
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert "NOT converged" in capsys.readouterr().out
 
 
 def test_oracle_command(lp_file, capsys, tmp_path):
@@ -197,3 +210,25 @@ def test_cli_requires_subcommand():
         cli.main([])
     with pytest.raises(SystemExit):
         cli.main(["solve"])  # --problem is required
+
+
+# ---------------------------------------------------------------------------
+# public entry points
+
+def test_traced_names_and_exports_resolve():
+    # the traced benchmark run rebinds every TRACED name found in its owner's
+    # __dict__; a renamed function would break it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for layer, attrs in spans.TRACED.items():
+        module = importlib.import_module(f"asynclp.{layer}")
+        for attr in attrs:
+            owner = module
+            *parts, last = attr.split(".")
+            for part in parts:
+                owner = getattr(owner, part)
+            assert last in owner.__dict__, f"{layer}.{attr}"
+    for name in asynclp.__all__:
+        assert hasattr(asynclp, name), name

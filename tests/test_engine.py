@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from asynclp import engine
+from asynclp.distributed import run_distributed
+from asynclp.formulation import StandardLP, to_asynchronous_form
 from asynclp.problems import chebyshev_encode, gen_chebyshev
 from asynclp.stationarity import build_system
 
@@ -221,6 +223,28 @@ def test_constant_gamma_short_of_one_converges_to_relaxed_point():
     assert system.residual(state.d2) > 1e-6  # the gap keeps gamma=1 residual up
 
 
+# LPs with no fixed point: the oracle says infeasible and unbounded
+NO_FIXED_POINT = {
+    "infeasible": StandardLP(f=[1.0], A=[[1.0]], b=[-1.0]),
+    "unbounded": StandardLP(f=[-1.0, -1.0], A=[[1.0, -1.0]], b=[1.0]),
+}
+
+
+@pytest.mark.parametrize("lp", NO_FIXED_POINT.values(), ids=NO_FIXED_POINT.keys())
+def test_no_fixed_point_spends_the_budget_unconverged(lp):
+    system = build_system(to_asynchronous_form(lp))
+    for mode in ("sync", "sweep", "bernoulli", "randomk"):
+        schedule = engine.ScheduleConfig(mode=mode, p=0.5, homotopy="bp")
+        state, traj = engine.run(system, schedule, max_equiv_iters=200)
+        assert state.converged is False, mode
+        assert state.equivalent_iterations == 200.0, mode
+        assert traj.equiv_iter[-1] == 200.0, mode
+    _, _, traj, _, converged = run_distributed(system, workers=1,
+                                               max_equiv_iters=200, homotopy="bp")
+    assert converged is False
+    assert traj.equiv_iter[-1] == 200.0
+
+
 # ---------------------------------------------------------------------------
 # operators
 
@@ -228,15 +252,10 @@ def test_homotopy_operator_blend():
     rng = np.random.default_rng(4)
     system = build_system(random_async_problem(rng))
     d2 = rng.normal(size=system.n_nonlinear)
-    T0 = engine.homotopy_operator(system, 0.0)
-    assert np.allclose(T0(d2), system.e, atol=1e-15)
-    T1 = engine.homotopy_operator(system, 1.0)
-    assert np.array_equal(T1(d2), system.operator(d2))
-    Thalf = engine.homotopy_operator(system, 0.5)
+    assert np.allclose(system.operator(d2, 0.0), system.e, atol=1e-15)
+    assert np.array_equal(system.operator(d2, 1.0), system.operator(d2))
     blend = 0.5 * system.operator(d2) + 0.5 * system.e
-    assert np.allclose(Thalf(d2), blend, atol=1e-12)
-    with pytest.raises(ValueError):
-        engine.homotopy_operator(system, 1.1)
+    assert np.allclose(system.operator(d2, 0.5), blend, atol=1e-12)
 
 
 def test_empirical_lipschitz_on_known_map():

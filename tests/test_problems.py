@@ -143,7 +143,7 @@ def test_basis_pursuit_small_recovery():
     inst = problems.gen_basis_pursuit(16, 8, 2, seed=4)
     system = build_system(problems.basis_pursuit_encode(inst))
     schedule = engine.ScheduleConfig(mode="bernoulli", p=0.5, seed=0,
-                                     homotopy=problems.bp_homotopy_schedule)
+                                     homotopy="bp")
     state, _ = engine.run(system, schedule, max_equiv_iters=2000, tol=1e-10)
     assert state.converged
     x = problems.basis_pursuit_recover(system, state.d2, state.c2)
@@ -153,14 +153,6 @@ def test_basis_pursuit_small_recovery():
     assert np.allclose(values["x"], x, atol=1e-12)
     assert system.problem.objective_value(values) == pytest.approx(
         np.abs(inst.x_true).sum(), abs=1e-6)
-
-
-def test_bp_homotopy_schedule_values():
-    assert problems.bp_homotopy_schedule(1) == pytest.approx(0.05)
-    assert problems.bp_homotopy_schedule(10) == pytest.approx(1 - 0.95 ** 100)
-    assert problems.bp_homotopy_schedule(11) == 1.0
-    with pytest.raises(ValueError):
-        problems.bp_homotopy_schedule(0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import pytest
 
 from asynclp import engine
 from asynclp import stationarity as st
-from asynclp.formulation import Kind, Role, StandardLP, to_asynchronous_form
+from asynclp.formulation import (AsyncFormProblem, Kind, Role, StandardLP,
+                                 VariableSpec, to_asynchronous_form)
 
 from conftest import mini_fixed_problem, random_async_problem, random_standard_lp
 
@@ -120,6 +121,37 @@ def test_m_scalar_bit_identical_to_vector_path():
             vec = system.m(d2, gamma)
             for k in range(system.n_nonlinear):
                 assert system.m_scalar(k, d2[k], gamma) == vec[k]
+
+
+def test_reduce_reads_the_same_table_as_apply_nonlinearity():
+    # every affine (kind, role) pair, linear-cost outputs included (no encoder
+    # produces one), plus nonlinear inputs and outputs of both kinds
+    rng = np.random.default_rng(7)
+    decls = [("a", Role.INPUT, Kind.FIXED, 2), ("b", Role.INPUT, Kind.LINEAR_COST, 2),
+             ("p", Role.INPUT, Kind.NON_NEGATIVE, 2), ("q", Role.INPUT, Kind.L1_COST, 1),
+             ("c", Role.OUTPUT, Kind.FIXED, 2), ("f", Role.OUTPUT, Kind.LINEAR_COST, 2),
+             ("r", Role.OUTPUT, Kind.NON_NEGATIVE, 2), ("w", Role.OUTPUT, Kind.L1_COST, 1)]
+    for _ in range(20):
+        specs = [VariableSpec(name, role, kind, n,
+                              rho=rng.normal(size=n) if kind.is_affine else None)
+                 for name, role, kind, n in decls]
+        problem = AsyncFormProblem(
+            B=rng.normal(size=(7, 7)),
+            inputs=tuple(v for v in specs if v.role is Role.INPUT),
+            outputs=tuple(v for v in specs if v.role is Role.OUTPUT))
+        system = st.build_system(problem)
+        coords = [(v.kind, v.role, None if v.rho is None else v.rho[i])
+                  for v in problem.specs() for i in range(v.length)]
+        d = rng.normal(scale=2.0, size=50)
+        for j, i in enumerate(system.affine_idx):
+            kind, role, rho = coords[i]
+            assert np.array_equal(st.apply_nonlinearity(kind, role, d, rho=rho),
+                                  system.s[j] * d + system.h[j]), (kind, role)
+        d2 = rng.normal(scale=2.0, size=system.n_nonlinear)
+        for gamma in (1.0, 0.4):
+            expected = [st.apply_nonlinearity(*coords[i][:2], d2[k], gamma=gamma)
+                        for k, i in enumerate(system.nonlinear_idx)]
+            assert np.array_equal(system.m(d2, gamma), expected)
 
 
 # ---------------------------------------------------------------------------
