@@ -9,7 +9,6 @@ point of the original program.
 
 from .distributed import (
     AssocArray,
-    AtomicCounter,
     WorkerReport,
     init_array,
     run_distributed,
@@ -76,7 +75,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AssocArray",
     "AsyncFormProblem",
-    "AtomicCounter",
     "BasisPursuitInstance",
     "ChebyshevInstance",
     "Kind",

@@ -2,26 +2,33 @@
 
 The reduced system is laid out the way a distributed key-value store would
 hold it: one read-only column g(k) of G' per coordinate (row k of a K x K
-array), the read-only offset e, and the vectors c2 and d2.  Workers repeat
-three stages:
+array), the read-only offset e, and the vectors c2 and d2.  An update on
+coordinate k has three stages:
 
-    lookup     read d_hat = d2(k), c_hat = c2(k) and the column g(k)
-    compute    delta = gamma * m_k(d_hat) - c_hat
+    lookup     read d_hat = d2(k), c_hat = c2(k)
+    compute    delta = eta * (gamma * m_k(d_hat) - c_hat)
     increment  d2 += g(k) * delta, then c2(k) += delta
 
-Lookups take no lock, so they may be stale and may even see an increment
-half applied.  One lock guards the increment stage, so increments are never
-lost.  A delta of zero performs no writes.  Snapshots for monitoring are
-lock-free copies and tolerate staleness.
+W workers take turns issuing lookups into a first-in, first-out queue of
+lookups in flight.  Once W lookups are in flight the oldest is computed and
+applied, so every read misses the W - 1 increments applied while it was in
+flight (the first W reads all see the cold start): a fixed delay tau = W - 1.
+Increments are applied one at a time, so none is lost.  A delta of zero
+performs no writes.
 
-A single-worker run is bit-for-bit the engine's random-coordinate schedule:
-same RNG stream, same update arithmetic, same recording cadence.
+The relaxation eta = 1 / (1 + 2 tau / sqrt(K)) is ARock's step bound for
+delay tau (Peng, Xu, Yan & Yin 2016); without it the delayed iteration
+does not converge.  With one worker tau = 0 and eta = 1, and a run is
+bit-for-bit the engine's random-coordinate schedule: same RNG stream, same
+update arithmetic, same recording cadence.  A run is deterministic for a
+given (workers, seed).
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+import math
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,49 +36,26 @@ from .engine import Trajectory, make_gamma
 from .stationarity import StationaritySystem
 
 
-class AtomicCounter:
-    """Integer counter with atomic increment-and-get."""
-
-    __slots__ = ("_value", "_lock")
-
-    def __init__(self):
-        self._value = 0
-        self._lock = threading.Lock()
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def add(self, n: int = 1) -> int:
-        with self._lock:
-            self._value += n
-            return self._value
-
-
 @dataclass
 class AssocArray:
     """Keyed view of a reduced system: columns, offset, and state vectors.
 
-    Row k of the read-only array `g` is column k of G'.  `lock` guards
-    every write to `d2` and `c2`; reads take no lock.
+    Row k of the read-only array `g` is column k of G'.
     """
 
     g: np.ndarray
     e: np.ndarray
     c2: np.ndarray
     d2: np.ndarray
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def n_coords(self) -> int:
         return len(self.c2)
 
     def increment(self, k: int, delta: float) -> None:
-        """Add delta to c2(k) and delta * g(k) to d2, atomically for writers."""
-        step = self.g[k] * delta
-        with self.lock:
-            self.d2 += step
-            self.c2[k] += delta
+        """Add delta to c2(k) and delta * g(k) to d2."""
+        self.d2 += self.g[k] * delta
+        self.c2[k] += delta
 
     def snapshot_c2(self) -> np.ndarray:
         return self.c2.copy()
@@ -90,13 +74,15 @@ def init_array(system: StationaritySystem) -> AssocArray:
 
 
 def worker_update(array: AssocArray, system: StationaritySystem, k: int,
-                  gamma: float = 1.0, log: list | None = None) -> float:
-    """One lookup/compute/increment cycle on coordinate k; returns delta."""
-    delta = system.m_scalar(k, array.d2[k], gamma) - array.c2[k]
+                  d_hat: float, c_hat: float, gamma: float = 1.0,
+                  eta: float = 1.0) -> float:
+    """Compute from the looked-up pair (d_hat, c_hat), then increment.
+
+    Returns delta; a delta of zero writes nothing.
+    """
+    delta = eta * (system.m_scalar(k, d_hat, gamma) - c_hat)
     if delta != 0.0:
         array.increment(k, delta)
-    if log is not None:
-        log.append((k, delta))
     return delta
 
 
@@ -119,12 +105,14 @@ def run_distributed(system: StationaritySystem, workers: int = 1,
                     reference: dict[str, np.ndarray] | None = None,
                     ) -> tuple[np.ndarray, np.ndarray, Trajectory,
                                list[WorkerReport], bool]:
-    """Race `workers` threads over a shared array until tol or budget.
+    """Apply `workers` workers' delayed updates until tol or budget.
 
     Worker i draws coordinates from its own stream: default_rng(seed) when
     running alone (bit-for-bit the engine's randomk mode), default_rng([seed, i])
-    otherwise.  Whichever worker crosses a multiple of K total updates takes a
-    stale-tolerant snapshot, records a trajectory row, and checks tol.
+    otherwise.  Each lookup takes gamma for the equivalent iteration in which
+    it is issued.  At every multiple of K applied updates a trajectory row is
+    recorded and tol is checked; lookups still in flight at convergence are
+    dropped.
 
     Returns (d2, c2, trajectory, reports, converged).
     """
@@ -132,60 +120,40 @@ def run_distributed(system: StationaritySystem, workers: int = 1,
         raise ValueError("workers must be >= 1")
     K = system.n_nonlinear
     gamma = make_gamma(homotopy)
+    eta = 1.0 / (1.0 + 2.0 * (workers - 1) / math.sqrt(K))
     array = init_array(system)
-    fired = AtomicCounter()
-    stop = threading.Event()
-    converged = threading.Event()
     traj = Trajectory()
-    traj_lock = threading.Lock()
     budget_updates = int(round(max_equiv_iters * K))
 
-    def record_row() -> float:
-        d2 = array.snapshot_d2()
-        c2 = array.snapshot_c2()
-        with traj_lock:
-            return traj.record(system, fired.value / K, d2, c2, reference)
+    converged = traj.record(system, 0.0, array.d2, array.c2, reference) <= tol
+    if converged or budget_updates == 0:
+        return (array.snapshot_d2(), array.snapshot_c2(), traj, [], converged)
 
-    res0 = record_row()
-    if res0 <= tol or budget_updates == 0:
-        if res0 <= tol:
-            converged.set()
-        return (array.snapshot_d2(), array.snapshot_c2(), traj, [], converged.is_set())
+    if workers == 1:
+        rngs = [np.random.default_rng(seed)]
+    else:
+        rngs = [np.random.default_rng([seed, i]) for i in range(workers)]
+    histograms = [[0] * K for _ in range(workers)]
+    in_flight: deque = deque()
+    issued = applied = 0
+    while applied < budget_updates:
+        if issued < budget_updates:
+            i = issued % workers
+            k = int(rngs[i].integers(K))
+            in_flight.append((i, k, array.d2[k], array.c2[k],
+                              gamma(issued // K + 1)))
+            issued += 1
+            if len(in_flight) < workers and issued < budget_updates:
+                continue
+        i, k, d_hat, c_hat, g = in_flight.popleft()
+        worker_update(array, system, k, d_hat, c_hat, g, eta)
+        histograms[i][k] += 1
+        applied += 1
+        if applied % K == 0 and traj.record(system, applied / K, array.d2,
+                                            array.c2, reference) <= tol:
+            converged = True
+            break
 
-    counts = [0] * workers
-    histograms = [np.zeros(K, dtype=int) for _ in range(workers)]
-
-    def worker_fn(i: int) -> None:
-        if workers == 1:
-            rng = np.random.default_rng(seed)
-        else:
-            rng = np.random.default_rng([seed, i])
-        while not stop.is_set():
-            before = fired.value
-            if before >= budget_updates:
-                stop.set()
-                break
-            g = gamma(before // K + 1)
-            k = int(rng.integers(K))
-            worker_update(array, system, k, g)
-            counts[i] += 1
-            histograms[i][k] += 1
-            after = fired.add(1)
-            if after % K == 0:
-                res = record_row()
-                if res <= tol:
-                    converged.set()
-                    stop.set()
-            if after >= budget_updates:
-                stop.set()
-
-    threads = [threading.Thread(target=worker_fn, args=(i,)) for i in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-
-    reports = [WorkerReport(i, counts[i], histograms[i].tolist())
-               for i in range(workers)]
-    return (array.snapshot_d2(), array.snapshot_c2(), traj, reports,
-            converged.is_set())
+    reports = [WorkerReport(i, sum(hist), hist)
+               for i, hist in enumerate(histograms)]
+    return (array.snapshot_d2(), array.snapshot_c2(), traj, reports, converged)

@@ -298,7 +298,7 @@ def test_07_distributed():
         bitwise = bitwise and np.array_equal(state.d2, d2) \
             and np.array_equal(state.c2, c2)
 
-    # 4 workers racing on the desk instance agree with the fixed point
+    # 4 workers, each read 3 updates stale, agree with the fixed point
     system = build_system(problems.chebyshev_encode(
         problems.gen_chebyshev(10, 20, seed=0)))
     deep = engine.ScheduleConfig(mode="bernoulli", p=0.5, seed=987654321,

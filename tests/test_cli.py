@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib
 import importlib.util
@@ -203,6 +204,23 @@ def test_experiment_sets_up_each_trial_once(tmp_path, monkeypatch):
                    "--max-equiv-iters", "50", "--out", str(tmp_path / "exp")])
     assert rc == 0
     assert len(calls) == 2
+
+
+def test_reference_falls_back_above_the_oracle_size_limit(monkeypatch):
+    # C(25, 13) = 5.2M subsets is past the oracle's enumeration limit and
+    # C(13, 7) = 1,716 is not; the same holds for C(32, 12) and C(4, 2)
+    sentinel = {"deep": np.zeros(1)}
+    monkeypatch.setattr(cli, "_deep_reference", lambda system, budget: sentinel)
+    args = argparse.Namespace(max_equiv_iters=10.0)
+    large = problems.gen_chebyshev(12, 24, seed=0)
+    assert cli._reference_for(large, None, args) is sentinel
+    small = cli._reference_for(problems.gen_chebyshev(6, 12, seed=0), None, args)
+    assert small is not sentinel and set(small) == {"x_c", "r1"}
+    rng = np.random.default_rng(0)
+    wide = StandardLP(f=-np.ones(12), A=rng.random((20, 12)), b=np.ones(20))
+    assert cli._reference_for(wide, None, args) is sentinel
+    lp = StandardLP(f=[-1.0, -2.0], A=[[1.0, 1.0], [2.0, 1.0]], b=[4.0, 6.0])
+    assert cli._reference_for(lp, None, args) is not sentinel
 
 
 def test_cli_requires_subcommand():
