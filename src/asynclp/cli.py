@@ -2,8 +2,10 @@
 or query the brute-force reference solver.
 
 All inputs and outputs are files (JSON problems, CSV trajectories); see the
-README for formats.  A JSON config file may mirror any long flag (keys use
-underscores: {"max_equiv_iters": 500}); explicit flags win over the config.
+README for formats.  A JSON config file supplies flag defaults: each key
+names a flag of the subcommand ({"max_equiv_iters": 500} or
+{"max-equiv-iters": "500"}), string values are parsed like the flag, an
+unknown key is an error, and explicit flags win over the config.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ def encode(problem) -> formulation.AsyncFormProblem:
 # ---------------------------------------------------------------------------
 # shared runners
 
-def _run_once(system, args, seed, reference=None):
-    """One solve with the configured mode; returns a result dict + trajectory."""
+def _run_once(system, args, seed, p, reference=None):
+    """One solve with the configured mode (bernoulli firing probability p);
+    returns a result dict + trajectory."""
     if args.mode == "distributed":
         d2, c2, traj, reports, converged = distributed.run_distributed(
             system, workers=args.workers, max_equiv_iters=args.max_equiv_iters,
@@ -58,7 +61,7 @@ def _run_once(system, args, seed, reference=None):
         head = {"mode": "distributed", "workers": args.workers}
         tail = {"worker_reports": [r.to_dict() for r in reports]}
     else:
-        schedule = engine.ScheduleConfig(mode=args.mode, p=args.p, seed=seed,
+        schedule = engine.ScheduleConfig(mode=args.mode, p=p, seed=seed,
                                          homotopy=args.homotopy)
         state, traj = engine.run(system, schedule,
                                  max_equiv_iters=args.max_equiv_iters,
@@ -66,7 +69,7 @@ def _run_once(system, args, seed, reference=None):
         d2, c2, converged = state.d2, state.c2, state.converged
         equiv = state.equivalent_iterations
         head = {"mode": args.mode,
-                "p": args.p if args.mode == "bernoulli" else None}
+                "p": p if args.mode == "bernoulli" else None}
         tail = {}
     values = system.recover_variables(d2, c2)
     result = {
@@ -124,7 +127,7 @@ def cmd_solve(args) -> int:
     problem = load_any(args.problem)
     system = build_system(encode(problem))
     reference = _reference_for(problem, system, args) if args.with_reference else None
-    result, traj = _run_once(system, args, args.seed, reference)
+    result, traj = _run_once(system, args, args.seed, args.p, reference)
     os.makedirs(args.out, exist_ok=True)
     traj.to_csv(os.path.join(args.out, "trajectory.csv"))
     with open(os.path.join(args.out, "solution.json"), "w") as fh:
@@ -148,29 +151,22 @@ def _gen_instance(args, trial_seed: int):
     raise ValueError(f"unknown preset {args.preset!r}")
 
 
-def _unit_grid(traj: engine.Trajectory, units: int):
-    """Map a trajectory to per-unit rows 0..units, padding with final values."""
-    obj = np.full(units + 1, np.nan)
-    res = np.full(units + 1, np.nan)
-    dist = np.full(units + 1, np.nan)
-    for eq, o, r, d in zip(traj.equiv_iter, traj.objective, traj.residual,
-                           traj.dist_to_ref):
-        u = int(eq + 1e-9)
-        if u <= units:
-            obj[u], res[u], dist[u] = o, r, d
-    # forward-fill: converged runs hold their final values
-    for arr in (obj, res, dist):
-        last = arr[0]
-        for i in range(units + 1):
-            if np.isnan(arr[i]):
-                arr[i] = last
-            else:
-                last = arr[i]
-    return obj, res, dist
+def _unit_grid(traj: engine.Trajectory, units: int) -> np.ndarray:
+    """(objective, log10 residual, log10 dist_to_ref) x units 0..units.
+
+    A run records one row per equivalent iteration, at units 0, 1, ..., so
+    row u is unit u; a run that stops early holds its final row.
+    """
+    grid = np.array([traj.objective, traj.residual,
+                     traj.dist_to_ref])[:, :units + 1]
+    grid = np.pad(grid, ((0, 0), (0, units + 1 - grid.shape[1])), mode="edge")
+    grid[1:] = np.log10(np.maximum(grid[1:], 1e-300))
+    return grid
 
 
-def _log10(arr: np.ndarray) -> np.ndarray:
-    return np.log10(np.maximum(np.asarray(arr, dtype=float), 1e-300))
+_HEADER = ["equiv_iter", "objective_mean", "objective_median",
+           "log10_residual_mean", "log10_residual_median",
+           "log10_dist_mean", "log10_dist_median"]
 
 
 def cmd_experiment(args) -> int:
@@ -179,15 +175,13 @@ def cmd_experiment(args) -> int:
     if args.mode == "bernoulli":
         groups = [("p=" + str(p), p) for p in args.p_list]
     else:
-        groups = [(args.mode, None)]
+        groups = [(args.mode, args.p)]
 
     summary = {"preset": args.preset, "n": args.n, "m": args.m,
                "sparsity": args.sparsity if args.preset == "bp" else None,
                "trials": args.trials, "mode": args.mode,
                "homotopy": args.homotopy, "groups": {}}
-    stats = {label: {"objective": [], "log_residual": [], "log_dist": [],
-                     "converged": 0, "final_residual": []}
-             for label, _ in groups}
+    runs = {label: [] for label, _ in groups}
     for t in range(args.trials):
         trial_seed = args.seed + t
         inst = _gen_instance(args, trial_seed)
@@ -197,58 +191,34 @@ def cmd_experiment(args) -> int:
         else:
             reference = _reference_for(inst, system, args)
         for label, p in groups:
-            run_args = argparse.Namespace(**vars(args))
-            if p is not None:
-                run_args.p = p
-            result, traj = _run_once(system, run_args, trial_seed, reference)
-            group = stats[label]
-            group["converged"] += bool(result["converged"])
-            group["final_residual"].append(result["residual"])
-            obj, res, dist = _unit_grid(traj, units)
-            group["objective"].append(obj)
-            group["log_residual"].append(_log10(res))
-            group["log_dist"].append(_log10(dist))
+            result, traj = _run_once(system, args, trial_seed, p, reference)
+            runs[label].append((result["converged"], result["residual"],
+                                _unit_grid(traj, units)))
 
     combined_rows = []
     for label, _ in groups:
-        group = stats[label]
-        converged_count = group["converged"]
-        final_residuals = group["final_residual"]
-        O = np.vstack(group["objective"])
-        R = np.vstack(group["log_residual"])
-        D = np.vstack(group["log_dist"])
-        rows = []
-        for u in range(units + 1):
-            rows.append([
-                u,
-                float(np.mean(O[:, u])), float(np.median(O[:, u])),
-                float(np.mean(R[:, u])), float(np.median(R[:, u])),
-                float(np.mean(D[:, u])), float(np.median(D[:, u])),
-            ])
-        fname = os.path.join(args.out, f"experiment_{label.replace('=', '')}.csv")
-        header = ["equiv_iter", "objective_mean", "objective_median",
-                  "log10_residual_mean", "log10_residual_median",
-                  "log10_dist_mean", "log10_dist_median"]
-        with open(fname, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-        combined_rows.extend([[label] + row for row in rows])
-        summary["groups"][label] = {
-            "trials": args.trials,
-            "converged": converged_count,
-            "median_final_residual": float(np.median(final_residuals)),
-        }
-        print(f"{label}: {converged_count}/{args.trials} converged, "
-              f"median final residual {np.median(final_residuals):.3e}")
+        flags, residuals, grids = zip(*runs[label])
+        # (column, unit, trial): each unit's trials lie contiguous on the last
+        # axis, so every mean is the same pairwise sum as np.mean of that
+        # unit's 1-D column (a reduction over axis 0 sums in another order)
+        stacked = np.stack(grids, axis=-1)
+        table = np.stack([stacked.mean(axis=-1), np.median(stacked, axis=-1)],
+                         axis=1).reshape(6, units + 1).T
+        rows = [[u] + row for u, row in enumerate(table.tolist())]
+        with open(os.path.join(args.out, f"experiment_{label.replace('=', '')}.csv"),
+                  "w", newline="") as fh:
+            csv.writer(fh).writerows([_HEADER] + rows)
+        combined_rows.extend([label] + row for row in rows)
+        converged = sum(flags)
+        median_final = float(np.median(residuals))
+        summary["groups"][label] = {"trials": args.trials, "converged": converged,
+                                    "median_final_residual": median_final}
+        print(f"{label}: {converged}/{args.trials} converged, "
+              f"median final residual {median_final:.3e}")
 
     with open(os.path.join(args.out, "experiment_combined.csv"), "w",
               newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["group", "equiv_iter", "objective_mean", "objective_median",
-                    "log10_residual_mean", "log10_residual_median",
-                    "log10_dist_mean", "log10_dist_median"])
-        w.writerows(combined_rows)
+        csv.writer(fh).writerows([["group"] + _HEADER] + combined_rows)
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
     print(f"wrote per-group CSVs, experiment_combined.csv and summary.json "
@@ -281,25 +251,45 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+# per-preset sizes, filled in after parsing where no flag or config gave one
+_PRESET_SIZES = {
+    "chebyshev": {"n": 10, "m": 20, "sparsity": None},
+    "bp": {"n": 64, "m": 32, "sparsity": 4},
+}
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok]
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=engine._MODES + ("distributed",),
-                   help="update schedule (default bernoulli; sync needs a "
+                   default="bernoulli",
+                   help="update schedule (default %(default)s; sync needs a "
                         "full-length ramp homotopy to converge)")
-    p.add_argument("--p", type=float, help="firing probability for bernoulli")
-    p.add_argument("--workers", type=int, help="simulated workers (distributed); each read lags "
-                        "by workers - 1 updates")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p.add_argument("--max-equiv-iters", type=float,
-                   help="budget in equivalent iterations (default 2000)")
-    p.add_argument("--tol", type=float,
-                   help="stopping residual at gamma=1 (default 1e-8)")
-    p.add_argument("--homotopy",
-                   help="none | bp | ramp:alpha0:steps (default bp)")
-    p.add_argument("--out", help="output directory (default .)")
-    p.add_argument("--config", help="JSON file mirroring these flags")
+    p.add_argument("--p", type=float, default=0.5,
+                   help="firing probability for bernoulli (default %(default)s)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="simulated workers (distributed); each read lags "
+                        "by workers - 1 updates (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="RNG seed (default %(default)s)")
+    p.add_argument("--max-equiv-iters", type=float, default=2000.0,
+                   help="budget in equivalent iterations (default %(default)s)")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="stopping residual at gamma=1 (default %(default)s)")
+    p.add_argument("--homotopy", default="bp",
+                   help="none | bp | ramp:alpha0:steps (default %(default)s)")
+    p.add_argument("--out", default=".",
+                   help="output directory (default %(default)s)")
+    p.add_argument("--config",
+                   help="JSON file of flag defaults (keys name flags of this "
+                        "subcommand; explicit flags win)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser,
+                            dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="asynclp",
         description="Solve linear programs by asynchronous fixed-point "
@@ -315,76 +305,49 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ps)
 
     pe = sub.add_parser("experiment", help="run a trial battery and aggregate")
-    pe.add_argument("--preset", choices=("chebyshev", "bp"), required=True)
+    pe.add_argument("--preset", choices=tuple(_PRESET_SIZES), required=True)
     pe.add_argument("--n", type=int, help="dimension (default 10 / 64)")
     pe.add_argument("--m", type=int, help="constraints/measurements "
                                           "(default 20 / 32)")
     pe.add_argument("--sparsity", type=int, help="bp nonzeros (default 4)")
-    pe.add_argument("--trials", type=int, help="number of trials (default 50)")
-    pe.add_argument("--p-list", help="comma-separated firing probabilities "
-                                     "(default 0.2,0.4,0.6,0.8)")
+    pe.add_argument("--trials", type=int, default=50,
+                    help="number of trials (default %(default)s)")
+    pe.add_argument("--p-list", type=_float_list, default="0.2,0.4,0.6,0.8",
+                    help="comma-separated firing probabilities "
+                         "(default %(default)s)")
     _add_common(pe)
 
     po = sub.add_parser("oracle", help="brute-force reference solution")
     po.add_argument("--problem", required=True, help="problem JSON file")
     po.add_argument("--out", help="also write oracle.json here")
-    return parser
-
-
-_DEFAULTS = {
-    "mode": None,  # per-command default applied below
-    "p": 0.5,
-    "workers": 1,
-    "seed": 0,
-    "max_equiv_iters": 2000.0,
-    "tol": 1e-8,
-    "homotopy": "bp",
-    "out": ".",
-}
-
-_EXPERIMENT_DEFAULTS = {
-    "chebyshev": {"n": 10, "m": 20, "sparsity": None},
-    "bp": {"n": 64, "m": 32, "sparsity": 4},
-}
-
-
-def _apply_config_and_defaults(args: argparse.Namespace) -> argparse.Namespace:
-    config = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            config = json.load(fh)
-    for key, value in config.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
-    for key, default in _DEFAULTS.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, default)
-    if args.mode is None:
-        args.mode = "bernoulli"
-    if args.command == "experiment":
-        for key, default in _EXPERIMENT_DEFAULTS[args.preset].items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, default)
-        if getattr(args, "p_list", None) is None:
-            args.p_list = "0.2,0.4,0.6,0.8"
-        if isinstance(args.p_list, str):
-            args.p_list = [float(tok) for tok in args.p_list.split(",") if tok]
-        if getattr(args, "trials", None) is None:
-            args.trials = 50
-    return args
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "oracle":
-        return cmd_oracle(args)
-    args = _apply_config_and_defaults(args)
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        with open(args.config) as fh:
+            config = {key.replace("-", "_"): value
+                      for key, value in json.load(fh).items()}
+        command = commands[args.command]
+        unknown = [key for key in config
+                   if key not in vars(args) or key == "command"]
+        if unknown:
+            command.error(f"config key(s) name no flag of {args.command!r}: "
+                          + ", ".join(unknown))
+        # config values become flag defaults, so explicit flags still win and
+        # string values go through the flag's type
+        command.set_defaults(**config)
+        args = parser.parse_args(argv)
     if args.command == "solve":
         return cmd_solve(args)
-    if args.command == "experiment":
-        return cmd_experiment(args)
-    raise AssertionError("unreachable")
+    if args.command == "oracle":
+        return cmd_oracle(args)
+    for key, default in _PRESET_SIZES[args.preset].items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
+    return cmd_experiment(args)
 
 
 if __name__ == "__main__":

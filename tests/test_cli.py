@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import asynclp
-from asynclp import cli, oracle, problems
+from asynclp import cli, engine, oracle, problems
 from asynclp.formulation import StandardLP, save_problem, to_asynchronous_form
 
 
@@ -143,6 +143,40 @@ def test_config_file_merge_and_flag_precedence(lp_file, tmp_path):
     assert sol2["equivalent_iterations"] == pytest.approx(4.0)
 
 
+def test_config_unknown_key_is_an_error(lp_file, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_iters": 3}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--problem", str(lp_file), "--config", str(config),
+                  "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert "max_iters" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_string_values_parse_like_flags(lp_file, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_equiv_iters": "5", "tol": "0",
+                                  "mode": "sync"}))
+    out = tmp_path / "run"
+    cli.main(["solve", "--problem", str(lp_file), "--config", str(config),
+              "--out", str(out)])
+    assert _read_solution(out)["equivalent_iterations"] == 5.0
+
+
+@pytest.mark.parametrize("p_list", ["0.2,0.5", [0.2, 0.5]], ids=["string", "list"])
+def test_config_p_list_as_string_or_list(p_list, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"p-list": p_list, "max-equiv-iters": 5}))
+    out = tmp_path / "exp"
+    rc = cli.main(["experiment", "--preset", "bp", "--n", "8", "--m", "4",
+                   "--sparsity", "1", "--trials", "1", "--config", str(config),
+                   "--out", str(out)])
+    assert rc == 0
+    with open(out / "summary.json") as fh:
+        assert list(json.load(fh)["groups"]) == ["p=0.2", "p=0.5"]
+
+
 def test_experiment_bp_battery(tmp_path):
     out = tmp_path / "exp"
     rc = cli.main(["experiment", "--preset", "bp", "--n", "16", "--m", "8",
@@ -204,6 +238,53 @@ def test_experiment_sets_up_each_trial_once(tmp_path, monkeypatch):
                    "--max-equiv-iters", "50", "--out", str(tmp_path / "exp")])
     assert rc == 0
     assert len(calls) == 2
+
+
+def test_experiment_aggregates_each_unit_over_trials(tmp_path, monkeypatch):
+    # synthetic trajectories of random lengths: every CSV value must equal,
+    # bit for bit, np.mean / np.median of that unit's 1-D column over the
+    # trials (nine trials, so a pairwise and a running sum differ), and a
+    # trial that stops early holds its final row to the end of the grid
+    units, trials = 30, 9
+    trajs = {}
+
+    def fake_run_once(system, args, seed, p, reference=None):
+        rng = np.random.default_rng([seed, round(10 * p)])
+        # trial 0 stops at unit 0, trial 1 records past the grid
+        length = {0: 1, 1: units + 2}.get(seed, int(rng.integers(2, units + 1)))
+        traj = engine.Trajectory()
+        for u in range(length):
+            traj.append(float(u), rng.normal(),
+                        rng.random() * 10.0 ** -rng.integers(12), rng.random())
+        trajs.setdefault(p, []).append(traj)
+        return {"converged": True, "residual": traj.residual[-1]}, traj
+
+    monkeypatch.setattr(cli, "_run_once", fake_run_once)
+    out = tmp_path / "exp"
+    rc = cli.main(["experiment", "--preset", "bp", "--n", "8", "--m", "4",
+                   "--sparsity", "1", "--trials", str(trials),
+                   "--p-list", "0.3,0.7", "--max-equiv-iters", str(units),
+                   "--out", str(out)])
+    assert rc == 0
+    for p, group in trajs.items():
+        assert len(group) == trials
+        # the loop reference: each trial's row at unit u, or its final row
+        columns = {"objective": [], "log10_residual": [], "log10_dist": []}
+        for traj in group:
+            held = np.minimum(np.arange(units + 1), len(traj) - 1)
+            columns["objective"].append(np.asarray(traj.objective)[held])
+            for name, values in (("log10_residual", traj.residual),
+                                 ("log10_dist", traj.dist_to_ref)):
+                values = np.asarray(values)[held]
+                columns[name].append(np.log10(np.maximum(values, 1e-300)))
+        with open(out / f"experiment_p{p}.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["equiv_iter"] for row in rows] == [str(u) for u in range(units + 1)]
+        for u, row in enumerate(rows):
+            for name, per_trial in columns.items():
+                column = np.array([values[u] for values in per_trial])
+                assert float(row[f"{name}_mean"]) == np.mean(column), (p, u, name)
+                assert float(row[f"{name}_median"]) == np.median(column), (p, u, name)
 
 
 def test_reference_falls_back_above_the_oracle_size_limit(monkeypatch):

@@ -166,6 +166,34 @@ def test_run_stops_early_at_tol():
     assert traj.residual[-1] <= 1e-9
 
 
+def test_every_schedule_records_one_row_per_unit():
+    # the experiment grid reads row u as equivalent iteration u, so every
+    # schedule must record rows at units 0, 1, 2, ... with none skipped or
+    # doubled, both when a fractional budget runs out and when tol stops a
+    # run (sync needs a ramp over most of its budget to get there)
+    lp = StandardLP(f=[-1.0, -2.0], A=[[1.0, 1.0], [2.0, 1.0]], b=[4.0, 6.0])
+    system = build_system(to_asynchronous_form(lp))
+    for budget, tol in ((20.5, 0.0), (2600.0, 1e-8)):
+        runs = {}
+        for mode in ("sync", "sweep", "bernoulli", "randomk"):
+            schedule = engine.ScheduleConfig(mode=mode, p=0.3, seed=1,
+                                             homotopy="ramp:0.5:2500")
+            state, traj = engine.run(system, schedule, max_equiv_iters=budget,
+                                     tol=tol)
+            runs[mode] = state.converged, traj
+        _, _, traj, _, converged = run_distributed(
+            system, workers=3, max_equiv_iters=budget, tol=tol, seed=1,
+            homotopy="ramp:0.5:2500")
+        runs["distributed"] = converged, traj
+        for mode, (converged, traj) in runs.items():
+            units = np.floor(np.asarray(traj.equiv_iter) + 1e-9)
+            assert np.array_equal(units, np.arange(len(traj))), (budget, mode)
+            if tol > 0:
+                assert converged and len(traj) < budget, mode
+            else:
+                assert not converged and len(traj) >= 21, mode
+
+
 def test_run_resume_from_state():
     # fired_updates carries across run() calls, so a resumed run continues
     # the homotopy window where the first run left off.  (The ramp starts at
