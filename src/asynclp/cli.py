@@ -5,7 +5,8 @@ All inputs and outputs are files (JSON problems, CSV trajectories); see the
 README for formats.  A JSON config file supplies flag defaults: each key
 names a flag of the subcommand ({"max_equiv_iters": 500} or
 {"max-equiv-iters": "500"}), string values are parsed like the flag, an
-unknown key is an error, and explicit flags win over the config.
+unknown key or a value outside the flag's choices is an error, and explicit
+flags win over the config.
 """
 
 from __future__ import annotations
@@ -340,6 +341,15 @@ def main(argv=None) -> int:
         # string values go through the flag's type
         command.set_defaults(**config)
         args = parser.parse_args(argv)
+        # argparse checks choices only on the command line, not on defaults
+        for action in command._actions:
+            if action.dest not in config or action.choices is None:
+                continue
+            value = getattr(args, action.dest)
+            if value not in action.choices:
+                command.error(f"config key {action.dest!r}: invalid choice "
+                              f"{value!r} (choose from "
+                              + ", ".join(map(repr, action.choices)) + ")")
     if args.command == "solve":
         return cmd_solve(args)
     if args.command == "oracle":

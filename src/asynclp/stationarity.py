@@ -63,11 +63,34 @@ def build_G(B: np.ndarray) -> np.ndarray:
 
     The resolvent of a skew-symmetric R is always well defined (I - R has no
     zero eigenvalue), and the result is special orthogonal with no -1
-    eigenvalue.  (I + R) commutes with (I - R)^{-1}, so a single solve suffices.
+    eigenvalue.  It is evaluated as G = 2 (I - R)^{-1} - I, with
+    I - R = [[I_Q, B'], [-B, I_P]] inverted through the Schur complement of
+    its larger identity block.  Let C = B if P <= Q and C = B' otherwise, so
+    C has r = min(P, Q) rows and c columns, and solve once
+
+        (I_r + C C') [T, U] = [C, I_r],   T: r x c,  U: r x r.
+
+    Then
+
+        P <= Q:  G = [[I_Q - 2 B'T,  -2 T'     ],
+                      [2 T,           2 U - I_P]]
+        P >  Q:  G = [[2 U - I_Q,     -2 T      ],
+                      [2 T',          I_P - 2 B T]]
+
+    in the coordinate order of build_R (Q inputs, then P outputs).
     """
-    R = build_R(B)
-    n = R.shape[0]
-    return np.linalg.solve(np.eye(n) - R, np.eye(n) + R)
+    B = np.asarray(B, dtype=float)
+    P, Q = B.shape
+    wide = P <= Q
+    C = B if wide else B.T
+    r, c = C.shape
+    X = np.linalg.solve(np.eye(r) + C @ C.T, np.hstack([C, np.eye(r)]))
+    T, U = X[:, :c], X[:, c:]
+    outer = np.eye(c) - 2.0 * (C.T @ T)
+    gram = 2.0 * U - np.eye(r)
+    if wide:
+        return np.block([[outer, -2.0 * T.T], [2.0 * T, gram]])
+    return np.block([[gram, -2.0 * T], [2.0 * T.T, outer]])
 
 
 def build_G_factored(B: np.ndarray) -> np.ndarray:

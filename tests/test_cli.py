@@ -154,6 +154,31 @@ def test_config_unknown_key_is_an_error(lp_file, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "experiment"])
+def test_config_value_outside_choices_is_an_error(command, lp_file, tmp_path,
+                                                  capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mode": "bogus"}))
+    argv = {"solve": ["solve", "--problem", str(lp_file)],
+            "experiment": ["experiment", "--preset", "bp", "--n", "8", "--m",
+                           "4", "--sparsity", "1", "--trials", "1"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--config", str(config), "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "'mode'" in err and "bogus" in err and "randomk" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_value_inside_choices_runs(lp_file, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mode": "randomk", "max_equiv_iters": 5}))
+    out = tmp_path / "run"
+    cli.main(["solve", "--problem", str(lp_file), "--config", str(config),
+              "--out", str(out)])
+    assert _read_solution(out)["mode"] == "randomk"
+
+
 def test_config_string_values_parse_like_flags(lp_file, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"max_equiv_iters": "5", "tol": "0",

@@ -53,6 +53,32 @@ def test_factored_construction_agrees():
         assert np.abs(st.build_G(B) - st.build_G_factored(B)).max() <= 1e-10
 
 
+@pytest.mark.parametrize("shape", [(3, 7), (5, 5), (7, 3), (1, 1), (12, 30),
+                                   (30, 12)])
+def test_build_G_is_the_cayley_transform(shape):
+    # build_G goes through the smaller Gram matrix; compare with the direct
+    # (P+Q)-sized solve of the definition
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(10):
+        B = rng.normal(size=shape)
+        R = st.build_R(B)
+        n = R.shape[0]
+        expected = np.linalg.solve(np.eye(n) - R, np.eye(n) + R)
+        G = st.build_G(B)
+        assert G.shape == (n, n)
+        assert np.abs(G - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(40, 100), (100, 40)])
+def test_G_orthogonal_on_badly_scaled_B(shape):
+    # ||B||_2 is in the thousands; the direct (P+Q)-sized solve loses
+    # orthogonality to ~1e-12 here
+    rng = np.random.default_rng(4)
+    B = 1000.0 * rng.normal(size=shape) / np.sqrt(shape[0])
+    G = st.build_G(B)
+    assert np.abs(G.T @ G - np.eye(G.shape[0])).max() <= 1e-14
+
+
 def test_G_equals_R_iff_square_orthogonal():
     rng = np.random.default_rng(3)
     # square orthogonal B (R^2 = -I): the Cayley transform collapses to R
