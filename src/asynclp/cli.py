@@ -78,7 +78,7 @@ def _run_once(system, args, seed, p, reference=None):
         "converged": bool(converged),
         "residual": system.residual(d2),
         "equivalent_iterations": equiv,
-        "objective": system.problem.objective_value(values),
+        "objective": system.objective(d2, c2),
         "variables": {k: v.tolist() for k, v in values.items()},
         **tail,
     }

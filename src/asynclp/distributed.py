@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Trajectory, make_gamma
+from .engine import Trajectory, make_gamma, reference_coordinates
 from .stationarity import StationaritySystem
 
 
@@ -109,10 +109,12 @@ def run_distributed(system: StationaritySystem, workers: int = 1,
 
     Worker i draws coordinates from its own stream: default_rng(seed) when
     running alone (bit-for-bit the engine's randomk mode), default_rng([seed, i])
-    otherwise.  Each lookup takes gamma for the equivalent iteration in which
-    it is issued.  At every multiple of K applied updates a trajectory row is
-    recorded and tol is checked; lookups still in flight at convergence are
-    dropped.
+    otherwise.  Lookup j belongs to worker j % workers.  Lookups are issued in
+    windows of K: each worker draws its coordinates for the window in one
+    block (the same stream as one draw per lookup), and the window takes
+    gamma for the equivalent iteration in which it is issued.  At every
+    multiple of K applied updates a trajectory row is recorded and tol is
+    checked; lookups still in flight at convergence are dropped.
 
     Returns (d2, c2, trajectory, reports, converged).
     """
@@ -123,9 +125,10 @@ def run_distributed(system: StationaritySystem, workers: int = 1,
     eta = 1.0 / (1.0 + 2.0 * (workers - 1) / math.sqrt(K))
     array = init_array(system)
     traj = Trajectory()
+    ref = reference_coordinates(system, reference)
     budget_updates = int(round(max_equiv_iters * K))
 
-    converged = traj.record(system, 0.0, array.d2, array.c2, reference) <= tol
+    converged = traj.record(system, 0.0, array.d2, array.c2, ref) <= tol
     if converged or budget_updates == 0:
         return (array.snapshot_d2(), array.snapshot_c2(), traj, [], converged)
 
@@ -133,27 +136,37 @@ def run_distributed(system: StationaritySystem, workers: int = 1,
         rngs = [np.random.default_rng(seed)]
     else:
         rngs = [np.random.default_rng([seed, i]) for i in range(workers)]
-    histograms = [[0] * K for _ in range(workers)]
+    blocks: list[np.ndarray] = []      # coordinates of every window issued
     in_flight: deque = deque()
     issued = applied = 0
     while applied < budget_updates:
         if issued < budget_updates:
-            i = issued % workers
-            k = int(rngs[i].integers(K))
-            in_flight.append((i, k, array.d2[k], array.c2[k],
-                              gamma(issued // K + 1)))
+            j = issued % K
+            if j == 0:
+                window = np.empty(min(K, budget_updates - issued), dtype=np.int64)
+                for i, rng in enumerate(rngs):
+                    mine = window[(i - issued) % workers::workers]
+                    mine[:] = rng.integers(K, size=len(mine))
+                blocks.append(window)
+                ks = window.tolist()
+                g = gamma(issued // K + 1)
+            k = ks[j]
+            in_flight.append((k, array.d2[k], array.c2[k], g))
             issued += 1
             if len(in_flight) < workers and issued < budget_updates:
                 continue
-        i, k, d_hat, c_hat, g = in_flight.popleft()
-        worker_update(array, system, k, d_hat, c_hat, g, eta)
-        histograms[i][k] += 1
+        k, d_hat, c_hat, g_k = in_flight.popleft()
+        worker_update(array, system, k, d_hat, c_hat, g_k, eta)
         applied += 1
         if applied % K == 0 and traj.record(system, applied / K, array.d2,
-                                            array.c2, reference) <= tol:
+                                            array.c2, ref) <= tol:
             converged = True
             break
 
-    reports = [WorkerReport(i, sum(hist), hist)
-               for i, hist in enumerate(histograms)]
+    # the applied updates are lookups 0 .. applied-1
+    drawn = np.concatenate(blocks)[:applied]
+    reports = []
+    for i in range(workers):
+        hist = np.bincount(drawn[i::workers], minlength=K)
+        reports.append(WorkerReport(i, int(hist.sum()), hist.tolist()))
     return (array.snapshot_d2(), array.snapshot_c2(), traj, reports, converged)

@@ -220,24 +220,21 @@ class Trajectory:
         self.dist_to_ref.append(dist)
 
     def record(self, system: StationaritySystem, equiv: float, d2: np.ndarray,
-               c2: np.ndarray, reference: dict[str, np.ndarray] | None = None,
-               ) -> float:
+               c2: np.ndarray,
+               reference: tuple[np.ndarray, np.ndarray] | None = None) -> float:
         """Append the row of state (d2, c2) at `equiv`; returns its residual.
 
-        dist_to_ref is the 2-norm over all variables of the distance to
-        `reference`, or NaN without one.
+        `reference` is the (coordinates, values) pair of reference_coordinates;
+        dist_to_ref is the 2-norm of the variables' distance to it, or NaN
+        without one.
         """
         res = system.residual(d2)
-        values = system.recover_variables(d2, c2)
-        obj = system.problem.objective_value(values)
         dist = float("nan")
-        if reference:
-            total = 0.0
-            for name, ref in reference.items():
-                diff = values[name] - np.asarray(ref, dtype=float)
-                total += float(np.dot(diff, diff))
-            dist = math.sqrt(total)
-        self.append(equiv, obj, res, dist)
+        if reference is not None:
+            idx, values = reference
+            diff = system.variable_vector(d2, c2)[idx] - values
+            dist = math.sqrt(float(diff @ diff))
+        self.append(equiv, system.objective(d2, c2), res, dist)
         return res
 
     def __len__(self) -> int:
@@ -250,6 +247,23 @@ class Trajectory:
             for row in zip(self.equiv_iter, self.objective, self.residual,
                            self.dist_to_ref):
                 w.writerow(row)
+
+
+def reference_coordinates(system: StationaritySystem,
+                          reference: dict[str, np.ndarray] | None,
+                          ) -> tuple[np.ndarray, np.ndarray] | None:
+    """A per-variable reference as (full-space coordinates, values), or None.
+
+    Resolved once per run, so that each trajectory row takes one product.
+    """
+    if not reference:
+        return None
+    slices = system.problem.variable_slices()
+    coords = np.arange(system.n_affine + system.n_nonlinear)
+    parts = [(coords[slices[name]], np.asarray(ref, dtype=float))
+             for name, ref in reference.items()]
+    return (np.concatenate([idx for idx, _ in parts]),
+            np.concatenate([np.broadcast_to(ref, idx.shape) for idx, ref in parts]))
 
 
 def run(system: StationaritySystem, schedule: ScheduleConfig,
@@ -282,9 +296,10 @@ def run(system: StationaritySystem, schedule: ScheduleConfig,
     rng = np.random.default_rng(schedule.seed)
     gamma = schedule.gamma
     traj = Trajectory()
+    ref = reference_coordinates(system, reference)
 
     res = traj.record(system, state.equivalent_iterations, state.d2, state.c2,
-                      reference)
+                      ref)
     if res <= tol:
         state.converged = True
         return state, traj
@@ -301,11 +316,14 @@ def run(system: StationaritySystem, schedule: ScheduleConfig,
             sweep_step(state, system, g)
         elif schedule.mode == "bernoulli":
             async_tick(state, system, schedule.p, rng, g)
-        else:  # randomk
-            incremental_step(state, system, int(rng.integers(K)), g)
+        else:  # randomk: to the end of the unit, coordinates drawn in one block
+            n = min(K - state.fired_updates % K,
+                    math.ceil(budget - 1e-9) - state.fired_updates)
+            for k in rng.integers(K, size=n).tolist():
+                incremental_step(state, system, k, g)
         if state.fired_updates // K > units_before:
             res = traj.record(system, state.equivalent_iterations, state.d2,
-                              state.c2, reference)
+                              state.c2, ref)
             if res <= tol:
                 state.converged = True
                 break

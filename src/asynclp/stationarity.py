@@ -28,6 +28,13 @@ over the nonlinear coordinates:
                          e  = G21 (I - S G11)^{-1} h.
 
 G' is again an isometry, which is what makes the iteration non-expansive.
+The eliminated coordinates are affine in c2 as well: with W = (I - S G11)^{-1}
+and X = W S G12 (both needed for G'), (I - G11 S)^{-1} = S W S and
+W S G11 = W - I give
+
+    d1 = D c2 + d0,   D = S X,   d0 = S (W h - h),
+
+so recovery and the objective are maps precomputed once by reduce.
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .formulation import AsyncFormProblem, Kind, Role, validate_async_form
 
@@ -44,7 +50,8 @@ class ReductionSingularError(RuntimeError):
     """Raised when the affine elimination is numerically singular."""
 
 
-# condition-number ceiling for (I - S G11); beyond this the elimination is refused
+# ceiling on the 1-norm condition number of (I - S G11); beyond it the
+# elimination is refused
 _COND_LIMIT = 1e12
 
 
@@ -170,6 +177,10 @@ class StationaritySystem:
         full-space coordinate indices of the two partitions, declaration order.
     nl_sign : ndarray     +1 on input coordinates, -1 on output coordinates
     nl_is_l1 : ndarray    bool; True where the base map is m1 rather than | . |
+    aff_sign : ndarray    +1 on affine input coordinates, -1 on affine outputs
+    D, d0 : ndarray       recovery map d1 = D c2 + d0 of the affine coordinates
+    objective_c2, objective_0 : ndarray, float
+        linear-cost part of the objective, objective_c2 . c2 + objective_0
     """
 
     problem: AsyncFormProblem
@@ -185,7 +196,21 @@ class StationaritySystem:
     G11: np.ndarray
     G12: np.ndarray
     G21: np.ndarray
-    _recover_lu: tuple
+    aff_sign: np.ndarray
+    D: np.ndarray
+    d0: np.ndarray
+    objective_c2: np.ndarray
+    objective_0: float
+
+    def __post_init__(self):
+        # the base map is chosen once: np.where only when the kinds mix, which
+        # gives the same values as m1 or | . | alone where they do not
+        if self.nl_is_l1.all():
+            self._base = m1
+        elif self.nl_is_l1.any():
+            self._base = self._mixed_base
+        else:
+            self._base = np.abs
 
     @property
     def n_nonlinear(self) -> int:
@@ -197,9 +222,11 @@ class StationaritySystem:
 
     # -- nonlinearity over the reduced coordinates --------------------------
 
+    def _mixed_base(self, d2: np.ndarray) -> np.ndarray:
+        return np.where(self.nl_is_l1, m1(d2), np.abs(d2))
+
     def m(self, d2: np.ndarray, gamma: float = 1.0) -> np.ndarray:
-        base = np.where(self.nl_is_l1, m1(d2), np.abs(d2))
-        return (gamma * base) * self.nl_sign
+        return (gamma * self._base(d2)) * self.nl_sign
 
     def m_scalar(self, k: int, d: float, gamma: float = 1.0) -> float:
         """Single-coordinate m, bit-identical to the vector path."""
@@ -222,34 +249,37 @@ class StationaritySystem:
     def recover_affine(self, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eliminated coordinates from a nonlinear-coordinate state.
 
-        d1 = (I - G11 S)^{-1} (G12 c2 + G11 h),  c1 = S d1 + h.
+        d1 = D c2 + d0 (= (I - G11 S)^{-1} (G12 c2 + G11 h)),  c1 = S d1 + h.
         """
-        d1 = lu_solve(self._recover_lu, self.G12 @ c2 + self.G11 @ self.h)
+        d1 = self.D @ c2 + self.d0
         return d1, self.s * d1 + self.h
 
-    def recover_variables(self, d2: np.ndarray, c2: np.ndarray) -> dict[str, np.ndarray]:
-        """Per-variable values from the current reduced state.
+    def variable_vector(self, d2: np.ndarray, c2: np.ndarray) -> np.ndarray:
+        """All variables' values, in full coordinate order (inputs then outputs).
 
-        Assembles the full (d, c) pair and applies z1 = (d+c)/2 on inputs,
-        z2 = (d-c)/2 on outputs.
+        z = (d + c)/2 on input coordinates and (d - c)/2 on output
+        coordinates; the affine ones cost one K1 x K product.
         """
         d1, c1 = self.recover_affine(c2)
-        n = self.n_affine + self.n_nonlinear
-        d = np.empty(n)
-        c = np.empty(n)
-        d[self.affine_idx] = d1
-        c[self.affine_idx] = c1
-        d[self.nonlinear_idx] = d2
-        c[self.nonlinear_idx] = c2
-        slices = self.problem.variable_slices()
-        out: dict[str, np.ndarray] = {}
-        for v in self.problem.specs():
-            sl = slices[v.name]
-            if v.role is Role.INPUT:
-                out[v.name] = (d[sl] + c[sl]) / 2.0
-            else:
-                out[v.name] = (d[sl] - c[sl]) / 2.0
-        return out
+        z = np.empty(self.n_affine + self.n_nonlinear)
+        z[self.affine_idx] = (d1 + self.aff_sign * c1) / 2.0
+        z[self.nonlinear_idx] = (d2 + self.nl_sign * c2) / 2.0
+        return z
+
+    def recover_variables(self, d2: np.ndarray, c2: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-variable values from the current reduced state."""
+        z = self.variable_vector(d2, c2)
+        return {name: z[sl] for name, sl in self.problem.variable_slices().items()}
+
+    def objective(self, d2: np.ndarray, c2: np.ndarray) -> float:
+        """Objective of the program at the reduced state.
+
+        The linear costs sit on affine coordinates, so their part is affine in
+        c2; the l1 costs add ||z2||_1 over their nonlinear coordinates.
+        """
+        z2 = (d2 + self.nl_sign * c2) / 2.0
+        return (float(self.objective_c2 @ c2) + self.objective_0
+                + float(np.abs(z2[self.nl_is_l1]).sum()))
 
     def dump(self, path) -> None:
         """Binary dump of the operator data (numpy .npz; see README for keys)."""
@@ -281,7 +311,9 @@ def reduce(G: np.ndarray, problem: AsyncFormProblem) -> StationaritySystem:
     ValueError
         On validation failures or an empty partition.
     ReductionSingularError
-        When cond(I - S G11) exceeds 1e12.
+        When I - S G11 is singular, or its 1-norm condition number
+        ||I - S G11||_1 ||(I - S G11)^{-1}||_1, taken from the inverse the
+        elimination needs anyway, exceeds 1e12.
     """
     errors = validate_async_form(problem)
     if errors:
@@ -313,16 +345,28 @@ def reduce(G: np.ndarray, problem: AsyncFormProblem) -> StationaritySystem:
 
     K1 = len(affine_idx)
     M_red = np.eye(K1) - s[:, None] * G11     # I - S G11
-    if np.linalg.cond(M_red) > _COND_LIMIT:
+    try:
+        W = np.linalg.inv(M_red)
+    except np.linalg.LinAlgError as exc:
         raise ReductionSingularError(
-            "reduction singular: cond(I - S G11) exceeds 1e12"
+            "reduction singular: I - S G11 is singular"
+        ) from exc
+    # `not <=` also refuses an inverse that overflowed to inf or nan
+    if not np.linalg.norm(M_red, 1) * np.linalg.norm(W, 1) <= _COND_LIMIT:
+        raise ReductionSingularError(
+            "reduction singular: cond_1(I - S G11) exceeds 1e12"
         )
-    W = np.linalg.inv(M_red)
-    Gprime = G22 + G21 @ (W @ (s[:, None] * G12))
-    e = G21 @ (W @ h)
+    X = W @ (s[:, None] * G12)
+    Wh = W @ h
+    Gprime = G22 + G21 @ X
+    e = G21 @ Wh
 
-    # recovery solves (I - G11 S) d1 = G12 c2 + G11 h repeatedly; cache the factor
-    recover_lu = lu_factor(np.eye(K1) - G11 * s[None, :])
+    # recovery d1 = D c2 + d0 (module docstring); on linear-cost coordinates
+    # z = d1 - rho on either side, so the linear objective is affine in c2
+    D = s[:, None] * X
+    d0 = s * (Wh - h)
+    cost = np.where([kinds[i] is Kind.LINEAR_COST for i in affine_idx],
+                    rho[affine_idx], 0.0)
 
     return StationaritySystem(
         problem=problem,
@@ -338,7 +382,11 @@ def reduce(G: np.ndarray, problem: AsyncFormProblem) -> StationaritySystem:
         G11=G11,
         G12=G12,
         G21=G21,
-        _recover_lu=recover_lu,
+        aff_sign=sign[affine_idx],
+        D=D,
+        d0=d0,
+        objective_c2=cost @ D,
+        objective_0=float(cost @ (d0 - rho[affine_idx])),
     )
 
 

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -65,6 +66,18 @@ def test_worker_update_zero_delta_writes_nothing():
     assert second == 0.0
     assert np.array_equal(array.snapshot_d2(), d_after)
     assert np.array_equal(array.snapshot_c2(), c_after)
+
+
+@pytest.mark.parametrize("K", [1, 13, 21, 512])
+def test_block_draws_equal_scalar_draws(K):
+    # run_distributed and randomk draw coordinates in blocks and rely on a
+    # block of n being the same stream as n scalar draws; a numpy upgrade
+    # that breaks this shows here first
+    sizes = [5, 1, 13, 0, 7, 2, 21]
+    block, scalar = np.random.default_rng(17), np.random.default_rng(17)
+    drawn = np.concatenate([block.integers(K, size=n) for n in sizes])
+    assert np.array_equal(drawn, [scalar.integers(K) for _ in range(sum(sizes))])
+    assert block.integers(2**40) == scalar.integers(2**40)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +147,39 @@ def test_two_worker_reads_are_stale_by_one_update():
     assert [rep.updates for rep in reports] == [1, 1]
     assert np.array_equal(d2, d_hand)
     assert np.array_equal(c2, c_hand)
+
+
+def test_multi_worker_run_is_the_fifo_of_scalar_draws():
+    # the run draws each window's coordinates in per-worker blocks and takes
+    # gamma once per window; it must equal the delayed model with one scalar
+    # draw and one gamma per lookup.  K = 9 is not a multiple of either
+    # worker count, so windows start mid-rotation of the workers.
+    system = _small_system(seed=12)
+    K = system.n_nonlinear
+    gamma = engine.make_gamma("bp")
+    budget = 20 * K
+    for workers in (2, 4):
+        d2, c2, _, reports, _ = ds.run_distributed(
+            system, workers=workers, max_equiv_iters=20, tol=0.0, seed=6,
+            homotopy="bp")
+        eta = 1.0 / (1.0 + 2.0 * (workers - 1) / math.sqrt(K))
+        array = ds.init_array(system)
+        rngs = [np.random.default_rng([6, i]) for i in range(workers)]
+        hist = np.zeros((workers, K), dtype=int)
+        in_flight = deque()
+        for j in range(budget + workers - 1):
+            if j < budget:
+                k = int(rngs[j % workers].integers(K))
+                in_flight.append((j % workers, k, array.d2[k], array.c2[k],
+                                  gamma(j // K + 1)))
+            if j >= workers - 1:
+                i, k, d_hat, c_hat, g = in_flight.popleft()
+                ds.worker_update(array, system, k, d_hat, c_hat, g, eta)
+                hist[i, k] += 1
+        assert K % workers != 0
+        assert np.array_equal(d2, array.d2)
+        assert np.array_equal(c2, array.c2)
+        assert [rep.histogram for rep in reports] == hist.tolist()
 
 
 def test_multi_worker_run_is_deterministic():

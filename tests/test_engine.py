@@ -212,6 +212,28 @@ def test_run_resume_from_state():
     assert resumed is state  # mutated in place
 
 
+def test_randomk_is_scalar_draws_of_incremental_steps():
+    # randomk draws the rest of each unit's coordinates in one block; from a
+    # state that stops mid-unit it must still fire the same coordinates, with
+    # the same gamma, as one scalar draw per step, through a fractional budget
+    system = build_system(chebyshev_encode(gen_chebyshev(3, 6, seed=4)))
+    K = system.n_nonlinear
+    schedule = engine.ScheduleConfig(mode="randomk", seed=3, homotopy="bp")
+    state = engine.init_state(system)
+    for k in (0, 2, 1):
+        engine.incremental_step(state, system, k, 0.5)
+    hand = engine.SolverState(c2=state.c2.copy(), d2=state.d2.copy(),
+                              fired_updates=state.fired_updates)
+    engine.run(system, schedule, max_equiv_iters=30.4, tol=0.0, state=state)
+    rng = np.random.default_rng(3)
+    while hand.fired_updates < 30.4 * K - 1e-9:
+        g = schedule.gamma(hand.fired_updates // K + 1)
+        engine.incremental_step(hand, system, int(rng.integers(K)), g)
+    assert state.fired_updates == hand.fired_updates
+    assert np.array_equal(state.d2, hand.d2)
+    assert np.array_equal(state.c2, hand.c2)
+
+
 def test_trajectory_reference_column(tmp_path):
     system = build_system(chebyshev_encode(gen_chebyshev(3, 6, seed=2)))
     deep = engine.ScheduleConfig(mode="bernoulli", p=0.5, seed=0, homotopy="bp")

@@ -6,6 +6,9 @@ from asynclp import stationarity as st
 from asynclp.formulation import (AsyncFormProblem, Kind, Role, StandardLP,
                                  VariableSpec, to_asynchronous_form)
 
+from asynclp.problems import (basis_pursuit_encode, chebyshev_encode,
+                              gen_basis_pursuit, gen_chebyshev)
+
 from conftest import mini_fixed_problem, random_async_problem, random_standard_lp
 
 
@@ -180,6 +183,28 @@ def test_reduce_reads_the_same_table_as_apply_nonlinearity():
             assert np.array_equal(system.m(d2, gamma), expected)
 
 
+def test_m_equals_the_where_form_bitwise():
+    # m picks its base map once per system; on all-abs, all-l1 and mixed
+    # systems it must give the np.where form bit for bit
+    rng = np.random.default_rng(11)
+    mixed = AsyncFormProblem(
+        B=rng.normal(size=(3, 3)),
+        inputs=(VariableSpec("a", Role.INPUT, Kind.FIXED, 1, rho=np.ones(1)),
+                VariableSpec("q", Role.INPUT, Kind.L1_COST, 2)),
+        outputs=(VariableSpec("r", Role.OUTPUT, Kind.NON_NEGATIVE, 3),))
+    problems = [chebyshev_encode(gen_chebyshev(4, 8, seed=1)),
+                basis_pursuit_encode(gen_basis_pursuit(16, 8, 2, seed=1)), mixed]
+    for problem, l1 in zip(problems, ("none", "all", "some")):
+        system = st.build_system(problem)
+        assert l1 == ("all" if system.nl_is_l1.all() else
+                      "some" if system.nl_is_l1.any() else "none")
+        for gamma in (1.0, 0.3):
+            d2 = rng.normal(scale=2.0, size=system.n_nonlinear)
+            expected = (gamma * np.where(system.nl_is_l1, st.m1(d2),
+                                         np.abs(d2))) * system.nl_sign
+            assert np.array_equal(system.m(d2, gamma), expected)
+
+
 # ---------------------------------------------------------------------------
 # reduction
 
@@ -279,6 +304,69 @@ def test_reduce_rejects_invalid_and_unpartitioned_problems():
     # G of the wrong size
     with pytest.raises(ValueError, match="shape"):
         st.reduce(np.eye(3), mini_fixed_problem())
+
+
+def test_reduce_refuses_uncoupled_cost_input():
+    # a linear-cost input whose column of B is zero makes I - S G11 exactly
+    # singular (inv raises); with the column merely nonzero the block is
+    # still rank-deficient here (rank <= P < Q), and rounding leaves it
+    # invertible, so the 1-norm condition number must refuse it
+    for eps in (0.0, 1e-3):
+        problem = AsyncFormProblem(
+            B=np.array([[1.0, eps, 2.0], [0.5, 0.0, -1.0]]),
+            inputs=(VariableSpec("u", Role.INPUT, Kind.LINEAR_COST, 3,
+                                 rho=np.array([1.0, 1.0, 0.0])),),
+            outputs=(VariableSpec("y", Role.OUTPUT, Kind.NON_NEGATIVE, 2),))
+        with pytest.raises(st.ReductionSingularError):
+            st.build_system(problem)
+
+
+def test_monitoring_map_equals_full_recovery():
+    # recovery and the objective come from maps precomputed by reduce; check
+    # them against the LU solve of (I - G11 S) d1 = G12 c2 + G11 h and the
+    # per-variable assembly, at random states
+    rng = np.random.default_rng(12)
+    problems = [random_async_problem(rng) for _ in range(8)]
+    problems += [chebyshev_encode(gen_chebyshev(6, 12, seed=1)),
+                 chebyshev_encode(gen_chebyshev(10, 20, seed=2)),
+                 basis_pursuit_encode(gen_basis_pursuit(64, 32, 4, seed=3))]
+    for problem in problems:
+        system = st.build_system(problem)
+        K, K1 = system.n_nonlinear, system.n_affine
+        for _ in range(3):
+            d2 = rng.normal(scale=2.0, size=K)
+            c2 = rng.normal(scale=2.0, size=K)
+            d1 = np.linalg.solve(np.eye(K1) - system.G11 * system.s,
+                                 system.G12 @ c2 + system.G11 @ system.h)
+            got_d1, got_c1 = system.recover_affine(c2)
+            assert np.abs(got_d1 - d1).max() <= 1e-12
+            assert np.array_equal(got_c1, system.s * got_d1 + system.h)
+
+            d = np.empty(K1 + K)
+            c = np.empty(K1 + K)
+            d[system.affine_idx], c[system.affine_idx] = d1, system.s * d1 + system.h
+            d[system.nonlinear_idx], c[system.nonlinear_idx] = d2, c2
+            slices = problem.variable_slices()
+            values = {v.name: (d[slices[v.name]] + c[slices[v.name]]) / 2.0
+                      if v.role is Role.INPUT else
+                      (d[slices[v.name]] - c[slices[v.name]]) / 2.0
+                      for v in problem.specs()}
+            recovered = system.recover_variables(d2, c2)
+            assert recovered.keys() == values.keys()
+            for name in values:
+                assert np.abs(recovered[name] - values[name]).max() <= 1e-12
+
+            names = list(values)[::2]
+            reference = {n: rng.normal(size=len(values[n])) for n in names}
+            traj = engine.Trajectory()
+            traj.record(system, 0.0, d2, c2,
+                        engine.reference_coordinates(system, reference))
+            assert traj.residual == [system.residual(d2)]
+            assert traj.objective[0] == pytest.approx(
+                problem.objective_value(values), rel=0.0, abs=1e-12)
+            dist = np.sqrt(sum(np.sum((values[n] - reference[n]) ** 2)
+                               for n in names))
+            assert traj.dist_to_ref[0] == pytest.approx(dist, rel=0.0, abs=1e-12)
 
 
 def test_dump_roundtrip(tmp_path):
