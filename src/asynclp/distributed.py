@@ -126,7 +126,7 @@ def run_distributed(system: StationaritySystem, workers: int = 1,
     array = init_array(system)
     traj = Trajectory()
     ref = reference_coordinates(system, reference)
-    budget_updates = int(round(max_equiv_iters * K))
+    budget_updates = math.ceil(max_equiv_iters * K - 1e-9)   # engine.run's count
 
     converged = traj.record(system, 0.0, array.d2, array.c2, ref) <= tol
     if converged or budget_updates == 0:

@@ -4,12 +4,20 @@ Enumerates candidate vertices of the feasible polyhedron (every N-subset of
 active constraints), so its failure modes are independent of the fixed-point
 machinery it is used to check.  Intended for N up to ~8 variables and a few
 hundred thousand candidate subsets; a guard refuses anything larger.
+
+Subsets are taken in combinations order, _BLOCK at a time, and each block's
+linear algebra is done in stacked LAPACK calls (slogdet and solve for
+vertices, svd for rays): the same getrf/gesv/gesdd per matrix as one call
+per subset, so the answers are bitwise those of the per-subset loop.  One
+inscribed-ball reference takes about 35 ms at 6x12 and 14 s at 10x20
+(352,716 subsets each for vertices and rays), against 175 ms and 49 s for
+the loop (BLAS pinned to one thread, 2-core VM).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
@@ -20,6 +28,7 @@ _FEAS_TOL = 1e-9
 _TIE_TOL = 1e-9
 _POINT_TOL = 1e-6
 _MAX_SUBSETS = 500_000
+_BLOCK = 4096          # subsets per stacked LAPACK call
 
 
 @dataclass(frozen=True)
@@ -53,35 +62,55 @@ def solve_inequality_form(c: np.ndarray, A_ub: np.ndarray,
             f"instance too large for enumeration: C({M},{N}) subsets"
         )
 
-    scale = max(1.0, float(np.abs(b).max()))
-    vertices: list[tuple[float, np.ndarray]] = []
-    for rows in combinations(range(M), N):
-        sub = A[list(rows)]
-        try:
-            x = np.linalg.solve(sub, b[list(rows)])
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(x)):
-            continue
-        if np.any(A @ x > b + _FEAS_TOL * scale):
-            continue
-        vertices.append((float(np.dot(c, x)), x))
+    limit = b + _FEAS_TOL * max(1.0, float(np.abs(b).max()))
+    found: list[np.ndarray] = []
+    for rows in _subset_blocks(M, N):
+        subs = A[rows]
+        # a stacked solve raises if any one matrix is singular; slogdet's
+        # getrf gives sign 0 on exactly the zero pivots that make gesv raise
+        keep = np.linalg.slogdet(subs)[0] != 0.0
+        x = np.linalg.solve(subs[keep], b[rows[keep]][..., None])[..., 0]
+        x = x[np.isfinite(x).all(axis=1)]
+        found.append(x[~(_stacked_matvec(A, x) > limit).any(axis=1)])
+    vertices = np.concatenate(found) if found else np.empty((0, N))
 
-    if not vertices:
+    if len(vertices) == 0:
         return OracleSolution(status="infeasible")
 
     if _has_improving_ray(c, A):
         return OracleSolution(status="unbounded")
 
-    best_obj, best_x = min(vertices, key=lambda t: t[0])
-    tie = any(
-        abs(obj - best_obj) <= _TIE_TOL
-        and np.linalg.norm(x - best_x) > _POINT_TOL
-        for obj, x in vertices
-    )
+    objectives = _stacked_dot(np.broadcast_to(c, vertices.shape), vertices)
+    best = int(np.argmin(objectives))     # the first of equal minima
+    best_obj, best_x = float(objectives[best]), vertices[best].copy()
+    near = np.flatnonzero(np.abs(objectives - best_obj) <= _TIE_TOL)
+    tie = any(np.linalg.norm(vertices[i] - best_x) > _POINT_TOL for i in near)
     if tie:
         return OracleSolution(status="degenerate", x_star=best_x, objective=best_obj)
     return OracleSolution(status="optimal", x_star=best_x, objective=best_obj)
+
+
+def _subset_blocks(M: int, k: int):
+    """Every k-subset of range(M) in combinations order, as (n, k) row-index
+    arrays of at most _BLOCK subsets each."""
+    subsets = combinations(range(M), k)
+    while True:
+        block = np.fromiter(chain.from_iterable(islice(subsets, _BLOCK)),
+                            dtype=np.intp)
+        if block.size == 0:
+            return
+        yield block.reshape(-1, k)
+
+
+def _stacked_matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Row i is A @ X[i], by the same gemv call (X @ A.T differs in the
+    last bits)."""
+    return np.matmul(A, X[..., None])[..., 0]
+
+
+def _stacked_dot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Entry i is np.dot(U[i], V[i]), by the same dot routine."""
+    return np.matmul(U[:, None, :], V[..., None])[:, 0, 0]
 
 
 def _has_improving_ray(c: np.ndarray, A: np.ndarray) -> bool:
@@ -105,20 +134,20 @@ def _has_improving_ray(c: np.ndarray, A: np.ndarray) -> bool:
             if np.all(A @ d <= 1e-10) and np.dot(c, d) < -1e-10:
                 return True
         return False
-    for rows in combinations(range(M), N - 1):
-        sub = A[list(rows)]
-        _, sv, vt = np.linalg.svd(sub)
-        small = sv < 1e-10
-        ndirs = list(vt[len(sub):]) + [v for v, s in zip(vt[:len(sub)], small) if s]
-        for d in ndirs:
-            nd = np.linalg.norm(d)
-            if nd < 1e-12:
-                continue
-            d = d / nd
-            for sgn in (1.0, -1.0):
-                dd = sgn * d
-                if np.all(A @ dd <= 1e-9) and np.dot(c, dd) < -1e-9:
-                    return True
+    for rows in _subset_blocks(M, N - 1):
+        _, sv, vt = np.linalg.svd(A[rows])
+        # the last row of vt spans the nullspace of a full-rank subset;
+        # rows with a vanishing singular value add to it
+        dirs = np.concatenate([vt[:, -1], vt[:, :-1][sv < 1e-10]])
+        norms = np.sqrt(_stacked_dot(dirs, dirs))
+        keep = ~(norms < 1e-12)
+        dirs = dirs[keep] / norms[keep, None]
+        # -(A d) and -(c'd) are exact, so one product serves both signs
+        Ad = _stacked_matvec(A, dirs)
+        cd = _stacked_dot(np.broadcast_to(c, dirs.shape), dirs)
+        if (((Ad <= 1e-9).all(axis=1) & (cd < -1e-9)).any()
+                or ((-Ad <= 1e-9).all(axis=1) & (-cd < -1e-9)).any()):
+            return True
     return False
 
 

@@ -102,6 +102,22 @@ def test_single_worker_is_engine_randomk_bit_for_bit():
         assert reports[0].updates == state.fired_updates
 
 
+@pytest.mark.parametrize("budget", [2.5, 2.7, 3.5])
+def test_single_worker_is_engine_randomk_on_fractional_budgets(budget):
+    # K = 9: the engine stops at ceil(budget * K) updates (23, 25, 32)
+    system = _small_system(seed=0)
+    d2, c2, traj, reports, _ = ds.run_distributed(
+        system, workers=1, max_equiv_iters=budget, tol=0.0, seed=1)
+    schedule = engine.ScheduleConfig(mode="randomk", seed=1)
+    state, etraj = engine.run(system, schedule, max_equiv_iters=budget,
+                              tol=0.0)
+    assert state.fired_updates == math.ceil(budget * system.n_nonlinear)
+    assert reports[0].updates == state.fired_updates
+    assert np.array_equal(d2, state.d2)
+    assert np.array_equal(c2, state.c2)
+    assert traj.residual == etraj.residual
+
+
 def test_multi_worker_run_converges_and_reports():
     system = _small_system(seed=4)
     d2, c2, traj, reports, converged = ds.run_distributed(

@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import comb
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -115,3 +118,179 @@ def test_vertex_enum_feasibility_of_reported_point():
         if sol.x_star is not None:
             assert (lp.A @ sol.x_star <= lp.b + 1e-8).all()
             assert (sol.x_star >= -1e-9).all()
+
+
+# ---------------------------------------------------------------------------
+# the stacked enumeration against a plain per-subset loop
+
+
+def _loop_solve_inequality_form(c, A_ub, b_ub):
+    # one np.linalg.solve per N-subset of rows, in combinations order
+    c = np.asarray(c, dtype=float)
+    A = np.asarray(A_ub, dtype=float)
+    b = np.asarray(b_ub, dtype=float)
+    M, N = A.shape
+    scale = max(1.0, float(np.abs(b).max()))
+    vertices = []
+    for rows in combinations(range(M), N):
+        try:
+            x = np.linalg.solve(A[list(rows)], b[list(rows)])
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(x)):
+            continue
+        if np.any(A @ x > b + 1e-9 * scale):
+            continue
+        vertices.append((float(np.dot(c, x)), x))
+    if not vertices:
+        return oracle.OracleSolution(status="infeasible")
+    if _loop_has_improving_ray(c, A):
+        return oracle.OracleSolution(status="unbounded")
+    best_obj, best_x = min(vertices, key=lambda t: t[0])
+    tie = any(abs(obj - best_obj) <= 1e-9
+              and np.linalg.norm(x - best_x) > 1e-6 for obj, x in vertices)
+    return oracle.OracleSolution(status="degenerate" if tie else "optimal",
+                                 x_star=best_x, objective=best_obj)
+
+
+def _loop_has_improving_ray(c, A):
+    # one np.linalg.svd per (N-1)-subset of rows
+    M, N = A.shape
+    _, sv, vt = np.linalg.svd(A)
+    null_mask = np.zeros(N, dtype=bool)
+    null_mask[:len(sv)] = sv < 1e-10
+    null_mask[len(sv):] = True
+    for d in vt[null_mask]:
+        if abs(np.dot(c, d)) > 1e-10:
+            return True
+    if N == 1:
+        for d in (np.array([1.0]), np.array([-1.0])):
+            if np.all(A @ d <= 1e-10) and np.dot(c, d) < -1e-10:
+                return True
+        return False
+    for rows in combinations(range(M), N - 1):
+        _, sv, vt = np.linalg.svd(A[list(rows)])
+        ndirs = [vt[N - 1]] + [v for v, s in zip(vt[:N - 1], sv) if s < 1e-10]
+        for d in ndirs:
+            nd = np.linalg.norm(d)
+            if nd < 1e-12:
+                continue
+            d = d / nd
+            for dd in (d, -d):
+                if np.all(A @ dd <= 1e-9) and np.dot(c, dd) < -1e-9:
+                    return True
+    return False
+
+
+def _assert_stacked_equals_loop(monkeypatch, solve, *args):
+    """Solve with the oracle and with the loop; return the common status."""
+    seen = []
+
+    def looped(c, A_ub, b_ub):
+        seen.append((c, A_ub))
+        return _loop_solve_inequality_form(c, A_ub, b_ub)
+
+    stacked = solve(*args)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "solve_inequality_form", looped)
+        reference = solve(*args)
+    assert stacked.status == reference.status
+    assert stacked.objective == reference.objective
+    if reference.x_star is None:
+        assert stacked.x_star is None
+    else:
+        assert np.array_equal(stacked.x_star, reference.x_star)
+    (c, A_ub), = seen
+    assert oracle._has_improving_ray(c, A_ub) == _loop_has_improving_ray(c, A_ub)
+    return stacked.status
+
+
+def _integer_lp(rng):
+    # small integer data with a repeated row: singular subsets, repeated
+    # vertices and tied optima
+    N = int(rng.integers(1, 5))
+    M = int(rng.integers(1, 6))
+    A = rng.integers(-2, 3, size=(M, N)).astype(float)
+    b = rng.integers(-1, 4, size=M).astype(float)
+    k = int(rng.integers(M))
+    return StandardLP(f=rng.integers(-1, 2, size=N).astype(float),
+                      A=np.vstack([A, A[k]]), b=np.append(b, b[k]))
+
+
+def test_stacked_oracle_equals_loop_on_chebyshev(monkeypatch):
+    for seed in range(10):
+        inst = gen_chebyshev(6, 12, seed=seed)
+        _assert_stacked_equals_loop(
+            monkeypatch, oracle.solve_chebyshev_reference, inst.A, inst.b)
+
+
+def test_stacked_oracle_equals_loop_on_criterion_4_draws(monkeypatch):
+    # the generator of the acceptance suite's oracle-equivalence criterion
+    rng = np.random.default_rng(404)
+    statuses = set()
+    for _ in range(150):
+        N = int(rng.integers(1, 5))
+        M = int(rng.integers(1, 7))
+        lp = StandardLP(f=rng.normal(size=N), A=rng.normal(size=(M, N)),
+                        b=rng.uniform(0.5, 2.0, size=M))
+        statuses.add(_assert_stacked_equals_loop(
+            monkeypatch, oracle.solve_vertex_enum, lp))
+    assert {"optimal", "unbounded"} <= statuses
+
+
+@pytest.mark.parametrize("block", [oracle._BLOCK, 3])
+def test_stacked_oracle_equals_loop_on_integer_lps(monkeypatch, block):
+    # a block of 3 puts many block boundaries, and blocks with no
+    # nonsingular subset, inside each instance
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    rng = np.random.default_rng(7)
+    statuses = set()
+    for _ in range(80):
+        statuses.add(_assert_stacked_equals_loop(
+            monkeypatch, oracle.solve_vertex_enum, _integer_lp(rng)))
+    assert statuses == {"optimal", "degenerate", "unbounded", "infeasible"}
+
+
+def test_stacked_oracle_equals_loop_across_blocks(monkeypatch):
+    # C(16, 8) = 12,870 vertex subsets and C(16, 7) = 11,440 ray subsets,
+    # several blocks each; A >= 0 keeps it bounded, so every block is read
+    assert comb(16, 8) > 3 * oracle._BLOCK
+    rng = np.random.default_rng(8)
+    lp = StandardLP(f=-rng.uniform(0.5, 1.5, size=8),
+                    A=rng.uniform(0.1, 1.0, size=(8, 8)),
+                    b=rng.uniform(0.5, 2.0, size=8))
+    assert _assert_stacked_equals_loop(
+        monkeypatch, oracle.solve_vertex_enum, lp) == "optimal"
+
+
+def test_stacked_ray_search_equals_loop_on_rank_deficient_rows():
+    # zero rows give (N-1)-subsets whose nullspace has more than one
+    # dimension; their small singular values add candidate directions
+    rng = np.random.default_rng(9)
+    rays = 0
+    for _ in range(200):
+        N = int(rng.integers(2, 5))
+        M = int(rng.integers(1, 6))
+        A = rng.integers(-1, 2, size=(M, N)).astype(float)
+        A[rng.random(M) < 0.3] = 0.0
+        c = rng.integers(-1, 2, size=N).astype(float)
+        ray = oracle._has_improving_ray(c, A)
+        assert ray == _loop_has_improving_ray(c, A)
+        rays += ray
+    assert 0 < rays < 200
+
+
+def test_fewer_rows_than_columns_has_no_vertex():
+    sol = oracle.solve_inequality_form(
+        c=np.ones(3), A_ub=np.ones((2, 3)), b_ub=np.ones(2))
+    assert sol.status == "infeasible"
+
+
+def test_stacked_oracle_equals_loop_in_one_dimension(monkeypatch):
+    for c, A, b, status in [([1.0], [[-1.0], [1.0]], [3.0, 2.0], "optimal"),
+                            ([1.0], [[1.0], [1.0]], [2.0, 5.0], "unbounded"),
+                            ([-1.0], [[1.0], [-1.0]], [1.0, -2.0], "infeasible"),
+                            ([0.0], [[1.0], [-1.0]], [1.0, 1.0], "degenerate")]:
+        assert _assert_stacked_equals_loop(
+            monkeypatch, lambda *args: oracle.solve_inequality_form(*args),
+            np.array(c), np.array(A), np.array(b)) == status
