@@ -58,7 +58,7 @@ def _run_once(system, args, seed, p, reference=None):
         d2, c2, traj, reports, converged = distributed.run_distributed(
             system, workers=args.workers, max_equiv_iters=args.max_equiv_iters,
             tol=args.tol, seed=seed, homotopy=args.homotopy, reference=reference)
-        equiv = traj.equiv_iter[-1] if len(traj) else 0.0
+        equiv = sum(r.updates for r in reports) / system.n_nonlinear
         head = {"mode": "distributed", "workers": args.workers}
         tail = {"worker_reports": [r.to_dict() for r in reports]}
     else:
@@ -176,7 +176,7 @@ def cmd_experiment(args) -> int:
     if args.mode == "bernoulli":
         groups = [("p=" + str(p), p) for p in args.p_list]
     else:
-        groups = [(args.mode, args.p)]
+        groups = [(args.mode, engine.ScheduleConfig.p)]
 
     summary = {"preset": args.preset, "n": args.n, "m": args.m,
                "sparsity": args.sparsity if args.preset == "bp" else None,
@@ -268,8 +268,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    default="bernoulli",
                    help="update schedule (default %(default)s; sync needs a "
                         "full-length ramp homotopy to converge)")
-    p.add_argument("--p", type=float, default=0.5,
-                   help="firing probability for bernoulli (default %(default)s)")
     p.add_argument("--workers", type=int, default=1,
                    help="simulated workers (distributed); each read lags "
                         "by workers - 1 updates (default %(default)s)")
@@ -303,6 +301,8 @@ def build_parser() -> tuple[argparse.ArgumentParser,
                     help="compute a reference solution for the dist_to_ref column")
     ps.add_argument("--dump-system", action="store_true",
                     help="also write the reduced operator data (system.npz)")
+    ps.add_argument("--p", type=float, default=0.5,
+                    help="firing probability for bernoulli (default %(default)s)")
     _add_common(ps)
 
     pe = sub.add_parser("experiment", help="run a trial battery and aggregate")

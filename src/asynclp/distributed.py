@@ -18,21 +18,23 @@ performs no writes.
 
 The relaxation eta = 1 / (1 + 2 tau / sqrt(K)) is ARock's step bound for
 delay tau (Peng, Xu, Yan & Yin 2016); without it the delayed iteration
-does not converge.  With one worker tau = 0 and eta = 1, and a run is
-bit-for-bit the engine's random-coordinate schedule: same RNG stream, same
-update arithmetic, same recording cadence.  A run is deterministic for a
-given (workers, seed).
+does not converge.  Coordinates are drawn in windows of K; lookups still in
+flight when the run stops are never applied.  A run advances through the
+engine's loop, so with one worker (tau = 0, eta = 1) it is bit-for-bit the
+engine's random-coordinate schedule: same RNG stream, same update
+arithmetic, same loop.  A run is deterministic for a given (workers, seed).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Trajectory, make_gamma, reference_coordinates
+from .engine import SolverState, Trajectory, iterate, make_gamma
 from .stationarity import StationaritySystem
 
 
@@ -112,11 +114,11 @@ def run_distributed(system: StationaritySystem, workers: int = 1,
     otherwise.  Lookup j belongs to worker j % workers.  Lookups are issued in
     windows of K: each worker draws its coordinates for the window in one
     block (the same stream as one draw per lookup), and the window takes
-    gamma for the equivalent iteration in which it is issued.  At every
-    multiple of K applied updates a trajectory row is recorded and tol is
-    checked; lookups still in flight at convergence are dropped.
+    gamma for the equivalent iteration in which it is issued.  Lookups still
+    in flight when engine.iterate stops, at tol or budget, are never applied.
 
-    Returns (d2, c2, trajectory, reports, converged).
+    Returns (d2, c2, trajectory, reports, converged); reports count applied
+    updates and are empty when none was applied.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -124,49 +126,40 @@ def run_distributed(system: StationaritySystem, workers: int = 1,
     gamma = make_gamma(homotopy)
     eta = 1.0 / (1.0 + 2.0 * (workers - 1) / math.sqrt(K))
     array = init_array(system)
-    traj = Trajectory()
-    ref = reference_coordinates(system, reference)
-    budget_updates = math.ceil(max_equiv_iters * K - 1e-9)   # engine.run's count
-
-    converged = traj.record(system, 0.0, array.d2, array.c2, ref) <= tol
-    if converged or budget_updates == 0:
-        return (array.snapshot_d2(), array.snapshot_c2(), traj, [], converged)
-
-    if workers == 1:
-        rngs = [np.random.default_rng(seed)]
-    else:
-        rngs = [np.random.default_rng([seed, i]) for i in range(workers)]
+    state = SolverState(c2=array.c2, d2=array.d2)   # shares the store's vectors
+    rngs = [np.random.default_rng(seed if workers == 1 else [seed, i])
+            for i in range(workers)]
     blocks: list[np.ndarray] = []      # coordinates of every window issued
-    in_flight: deque = deque()
-    issued = applied = 0
-    while applied < budget_updates:
-        if issued < budget_updates:
-            j = issued % K
-            if j == 0:
-                window = np.empty(min(K, budget_updates - issued), dtype=np.int64)
-                for i, rng in enumerate(rngs):
-                    mine = window[(i - issued) % workers::workers]
-                    mine[:] = rng.integers(K, size=len(mine))
-                blocks.append(window)
-                ks = window.tolist()
-                g = gamma(issued // K + 1)
-            k = ks[j]
-            in_flight.append((k, array.d2[k], array.c2[k], g))
-            issued += 1
-            if len(in_flight) < workers and issued < budget_updates:
-                continue
-        k, d_hat, c_hat, g_k = in_flight.popleft()
-        worker_update(array, system, k, d_hat, c_hat, g_k, eta)
-        applied += 1
-        if applied % K == 0 and traj.record(system, applied / K, array.d2,
-                                            array.c2, ref) <= tol:
-            converged = True
-            break
 
-    # the applied updates are lookups 0 .. applied-1
-    drawn = np.concatenate(blocks)[:applied]
+    def lookups():
+        """Lookups in issue order; each reads the store when it is taken."""
+        d2, c2 = array.d2, array.c2
+        for w in itertools.count():
+            block = np.empty(K, dtype=np.int64)
+            for i, rng in enumerate(rngs):
+                mine = block[(i - w * K) % workers::workers]
+                mine[:] = rng.integers(K, size=len(mine))
+            blocks.append(block)
+            g = gamma(w + 1)
+            for k in block.tolist():
+                yield k, d2[k], c2[k], g
+
+    issue = lookups()
+    in_flight: deque = deque()
+
+    def advance(state: SolverState, stop: int) -> None:
+        for _ in range(stop - state.fired_updates):
+            while len(in_flight) < workers:
+                in_flight.append(next(issue))
+            worker_update(array, system, *in_flight.popleft(), eta)
+        state.fired_updates = stop
+
+    traj = iterate(system, state, advance, max_equiv_iters, tol, reference)
     reports = []
-    for i in range(workers):
-        hist = np.bincount(drawn[i::workers], minlength=K)
-        reports.append(WorkerReport(i, int(hist.sum()), hist.tolist()))
-    return (array.snapshot_d2(), array.snapshot_c2(), traj, reports, converged)
+    if state.fired_updates:   # the applied updates: lookups 0, 1, ...
+        drawn = np.concatenate(blocks)[:state.fired_updates]
+        for i in range(workers):
+            hist = np.bincount(drawn[i::workers], minlength=K)
+            reports.append(WorkerReport(i, int(hist.sum()), hist.tolist()))
+    return (array.snapshot_d2(), array.snapshot_c2(), traj, reports,
+            state.converged)

@@ -13,6 +13,11 @@ probability p per tick (bernoulli) or one uniformly chosen coordinate per step
 (randomk).  Progress across schedules is compared in equivalent iterations:
 total fired coordinate updates divided by the number of nonlinear coordinates.
 
+Every schedule runs through one loop, `iterate`, which owns the budget, the
+trajectory rows and the tol check.  A schedule supplies only the updates, as
+advance(state, stop): `run` steps the schedules below, and
+distributed.run_distributed its delayed workers.
+
 Because G' is an isometry and every m is non-expansive, the iteration map has
 Lipschitz constant exactly 1: convergence sits on the boundary.  A homotopy
 relaxes it, replacing T by T'(d2, a) = a T(d2) + (1-a) T0(d2) with the constant
@@ -266,68 +271,65 @@ def reference_coordinates(system: StationaritySystem,
             np.concatenate([np.broadcast_to(ref, idx.shape) for idx, ref in parts]))
 
 
+def iterate(system: StationaritySystem, state: SolverState,
+            advance: Callable[[SolverState, int], None],
+            max_equiv_iters: float, tol: float,
+            reference: dict[str, np.ndarray] | None = None) -> Trajectory:
+    """The run loop of every schedule; sets state.converged.
+
+    The budget is ceil(max_equiv_iters * K) fired updates in all.  A row is
+    recorded and tol checked at the start and after each completed unit of
+    K updates.  advance(state, stop) fires updates, counting them in
+    state.fired_updates, until it reaches stop (the end of the unit or the
+    budget); a step that fires many at once may pass it.
+    """
+    K = state.n_coords
+    budget = math.ceil(max_equiv_iters * K - 1e-9)
+    ref = reference_coordinates(system, reference)
+    traj = Trajectory()
+    while True:
+        state.converged = traj.record(system, state.equivalent_iterations,
+                                      state.d2, state.c2, ref) <= tol
+        unit = state.fired_updates // K
+        if state.converged or state.fired_updates >= budget:
+            return traj
+        advance(state, min((unit + 1) * K, budget))
+        if state.fired_updates // K == unit:   # the budget ended mid-unit
+            return traj
+
+
 def run(system: StationaritySystem, schedule: ScheduleConfig,
         max_equiv_iters: float = 1000.0, tol: float = 1e-8,
         reference: dict[str, np.ndarray] | None = None,
         state: SolverState | None = None) -> tuple[SolverState, Trajectory]:
     """Iterate until the gamma=1 residual falls to tol or the budget runs out.
 
-    Parameters
-    ----------
-    system : StationaritySystem
-    schedule : ScheduleConfig
-    max_equiv_iters : float
-        Budget in equivalent iterations (fired updates / K).
-    tol : float
-        Residual threshold checked once per equivalent iteration.
-    reference : dict, optional
-        Per-variable reference values; enables the dist_to_ref column.
-    state : SolverState, optional
-        Resume from this state instead of the cold start (c2=0, d2=e).
-
-    Returns
-    -------
-    (SolverState, Trajectory)
-        state.converged records whether tol was reached within budget.
+    The budget is max_equiv_iters equivalent iterations (fired updates / K),
+    and tol is checked once per equivalent iteration.  Per-variable
+    `reference` values fill the dist_to_ref column; `state` resumes a run
+    instead of the cold start (c2=0, d2=e).  Returns (state, trajectory);
+    state.converged records whether tol was reached within budget.
     """
     if state is None:
         state = init_state(system)
     K = state.n_coords
     rng = np.random.default_rng(schedule.seed)
-    gamma = schedule.gamma
-    traj = Trajectory()
-    ref = reference_coordinates(system, reference)
 
-    res = traj.record(system, state.equivalent_iterations, state.d2, state.c2,
-                      ref)
-    if res <= tol:
-        state.converged = True
-        return state, traj
-
-    state.converged = False
-    budget = max_equiv_iters * K
-    while state.fired_updates < budget - 1e-9:
-        window = state.fired_updates // K + 1
-        g = gamma(int(window))
-        units_before = state.fired_updates // K
-        if schedule.mode == "sync":
-            sync_step(state, system, g)
-        elif schedule.mode == "sweep":
-            sweep_step(state, system, g)
-        elif schedule.mode == "bernoulli":
-            async_tick(state, system, schedule.p, rng, g)
-        else:  # randomk: to the end of the unit, coordinates drawn in one block
-            n = min(K - state.fired_updates % K,
-                    math.ceil(budget - 1e-9) - state.fired_updates)
-            for k in rng.integers(K, size=n).tolist():
+    def advance(state: SolverState, stop: int) -> None:
+        g = schedule.gamma(state.fired_updates // K + 1)
+        if schedule.mode == "randomk":   # coordinates drawn in one block
+            for k in rng.integers(K, size=stop - state.fired_updates).tolist():
                 incremental_step(state, system, k, g)
-        if state.fired_updates // K > units_before:
-            res = traj.record(system, state.equivalent_iterations, state.d2,
-                              state.c2, ref)
-            if res <= tol:
-                state.converged = True
-                break
-    return state, traj
+        elif schedule.mode == "bernoulli":
+            while state.fired_updates < stop:
+                async_tick(state, system, schedule.p, rng, g)
+        elif schedule.mode == "sync":   # sync and sweep fire all K at once
+            sync_step(state, system, g)
+        else:
+            sweep_step(state, system, g)
+
+    return state, iterate(system, state, advance, max_equiv_iters, tol,
+                          reference)
 
 
 # ---------------------------------------------------------------------------

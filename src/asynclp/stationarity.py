@@ -178,6 +178,8 @@ class StationaritySystem:
     nl_sign : ndarray     +1 on input coordinates, -1 on output coordinates
     nl_is_l1 : ndarray    bool; True where the base map is m1 rather than | . |
     aff_sign : ndarray    +1 on affine input coordinates, -1 on affine outputs
+    G11, G12, G21 : ndarray
+        blocks of G by partition (1 affine, 2 nonlinear), sliced on access
     D, d0 : ndarray       recovery map d1 = D c2 + d0 of the affine coordinates
     objective_c2, objective_0 : ndarray, float
         linear-cost part of the objective, objective_c2 . c2 + objective_0
@@ -193,9 +195,6 @@ class StationaritySystem:
     nonlinear_idx: np.ndarray
     nl_sign: np.ndarray
     nl_is_l1: np.ndarray
-    G11: np.ndarray
-    G12: np.ndarray
-    G21: np.ndarray
     aff_sign: np.ndarray
     D: np.ndarray
     d0: np.ndarray
@@ -219,6 +218,12 @@ class StationaritySystem:
     @property
     def n_affine(self) -> int:
         return len(self.affine_idx)
+
+    G11 = property(lambda self: self.G[np.ix_(self.affine_idx, self.affine_idx)])
+    G12 = property(lambda self: self.G[np.ix_(self.affine_idx,
+                                              self.nonlinear_idx)])
+    G21 = property(lambda self: self.G[np.ix_(self.nonlinear_idx,
+                                              self.affine_idx)])
 
     # -- nonlinearity over the reduced coordinates --------------------------
 
@@ -379,9 +384,6 @@ def reduce(G: np.ndarray, problem: AsyncFormProblem) -> StationaritySystem:
         nonlinear_idx=nonlinear_idx,
         nl_sign=nl_sign,
         nl_is_l1=nl_is_l1,
-        G11=G11,
-        G12=G12,
-        G21=G21,
         aff_sign=sign[affine_idx],
         D=D,
         d0=d0,

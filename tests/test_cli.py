@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import asynclp
-from asynclp import cli, engine, oracle, problems
+from asynclp import cli, distributed, engine, oracle, problems, stationarity
 from asynclp.formulation import StandardLP, save_problem, to_asynchronous_form
 
 
@@ -71,6 +71,21 @@ def test_solve_distributed_writes_reports(cheb_file, tmp_path):
     sol = _read_solution(out)
     assert sol["workers"] == 2 and len(sol["worker_reports"]) == 2
     assert sol["converged"]
+
+
+def test_distributed_one_worker_writes_randomk_solution(cheb_file, tmp_path):
+    # one worker applies randomk's updates; at a fractional budget both stop
+    # mid-unit, after the trajectory's last row, and must report the same
+    # equivalent iterations
+    sols = {}
+    for mode in ("randomk", "distributed"):
+        out = tmp_path / mode
+        cli.main(["solve", "--problem", str(cheb_file), "--mode", mode,
+                  "--max-equiv-iters", "2.5", "--out", str(out)])
+        sols[mode] = _read_solution(out)
+    for key in ("equivalent_iterations", "residual", "objective", "variables"):
+        assert sols["distributed"][key] == sols["randomk"][key], key
+    assert sols["randomk"]["equivalent_iterations"] > 2.5
 
 
 def test_solve_with_reference_and_dump(cheb_file, tmp_path):
@@ -329,6 +344,16 @@ def test_reference_falls_back_above_the_oracle_size_limit(monkeypatch):
     assert cli._reference_for(lp, None, args) is not sentinel
 
 
+def test_experiment_has_no_p_flag(tmp_path):
+    # bernoulli groups take --p-list, and no other mode reads p
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["experiment", "--preset", "bp", "--n", "8", "--m", "4",
+                  "--sparsity", "1", "--trials", "1", "--max-equiv-iters", "1",
+                  "--p", "0.3", "--out", str(tmp_path / "exp")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "exp").exists()
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])
@@ -339,13 +364,18 @@ def test_cli_requires_subcommand():
 # ---------------------------------------------------------------------------
 # public entry points
 
-def test_traced_names_and_exports_resolve():
-    # the traced benchmark run rebinds every TRACED name found in its owner's
-    # __dict__; a renamed function would break it
+def _load_spans():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_names_and_exports_resolve():
+    # the traced benchmark run rebinds every TRACED name found in its owner's
+    # __dict__; a renamed function would break it
+    spans = _load_spans()
     for layer, attrs in spans.TRACED.items():
         module = importlib.import_module(f"asynclp.{layer}")
         for attr in attrs:
@@ -356,3 +386,29 @@ def test_traced_names_and_exports_resolve():
             assert last in owner.__dict__, f"{layer}.{attr}"
     for name in asynclp.__all__:
         assert hasattr(asynclp, name), name
+
+
+def test_traced_hooks_fill_their_counters():
+    # the traced benchmark run's hooks read attributes of the traced calls'
+    # arguments and results; a renamed attribute would break them
+    spans = _load_spans()
+    tracer = spans.Tracer("test", "0")
+    tracer.install()
+    try:
+        system = stationarity.build_system(
+            problems.chebyshev_encode(problems.gen_chebyshev(3, 6, seed=0)))
+        state, _ = engine.run(system, engine.ScheduleConfig(mode="bernoulli",
+                                                            p=0.5),
+                              max_equiv_iters=5, tol=0.0)
+        *_, reports, _ = distributed.run_distributed(
+            system, workers=2, max_equiv_iters=5, tol=0.0)
+    finally:
+        tracer.uninstall()
+    counters = tracer.counters()
+    assert counters["stationarity.operator_bytes"] == sum(
+        a.nbytes for a in (system.G, system.Gprime, system.G11, system.G12,
+                           system.G21))
+    assert counters["engine.fired_updates"] == state.fired_updates > 0
+    assert counters["distributed.updates"] == 5 * system.n_nonlinear
+    assert [r.updates for r in reports] == [(5 * system.n_nonlinear + 1) // 2,
+                                            5 * system.n_nonlinear // 2]

@@ -169,14 +169,16 @@ def test_multi_worker_run_is_the_fifo_of_scalar_draws():
     # the run draws each window's coordinates in per-worker blocks and takes
     # gamma once per window; it must equal the delayed model with one scalar
     # draw and one gamma per lookup.  K = 9 is not a multiple of either
-    # worker count, so windows start mid-rotation of the workers.
+    # worker count, so windows start mid-rotation of the workers.  At the
+    # fractional budget the run stops after ceil(20.5 K) = 185 applied
+    # updates, and the lookups still in flight are dropped.
     system = _small_system(seed=12)
     K = system.n_nonlinear
     gamma = engine.make_gamma("bp")
-    budget = 20 * K
-    for workers in (2, 4):
+    for units, workers in [(20, 2), (20, 4), (20.5, 2), (20.5, 4)]:
+        budget = math.ceil(units * K)
         d2, c2, _, reports, _ = ds.run_distributed(
-            system, workers=workers, max_equiv_iters=20, tol=0.0, seed=6,
+            system, workers=workers, max_equiv_iters=units, tol=0.0, seed=6,
             homotopy="bp")
         eta = 1.0 / (1.0 + 2.0 * (workers - 1) / math.sqrt(K))
         array = ds.init_array(system)
