@@ -289,13 +289,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def build_parser() -> tuple[argparse.ArgumentParser,
                             dict[str, argparse.ArgumentParser]]:
     """The top-level parser and its subcommand parsers by name."""
+    # no prefix matching anywhere: an abbreviation would silently change
+    # meaning once a flag sharing its prefix is added
     parser = argparse.ArgumentParser(
-        prog="asynclp",
+        prog="asynclp", allow_abbrev=False,
         description="Solve linear programs by asynchronous fixed-point "
                     "iteration of an orthogonal signal-flow system.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", help="solve one stored problem")
+    ps = sub.add_parser("solve", help="solve one stored problem",
+                        allow_abbrev=False)
     ps.add_argument("--problem", required=True, help="problem JSON file")
     ps.add_argument("--with-reference", action="store_true",
                     help="compute a reference solution for the dist_to_ref column")
@@ -305,7 +308,8 @@ def build_parser() -> tuple[argparse.ArgumentParser,
                     help="firing probability for bernoulli (default %(default)s)")
     _add_common(ps)
 
-    pe = sub.add_parser("experiment", help="run a trial battery and aggregate")
+    pe = sub.add_parser("experiment", help="run a trial battery and aggregate",
+                        allow_abbrev=False)
     pe.add_argument("--preset", choices=tuple(_PRESET_SIZES), required=True)
     pe.add_argument("--n", type=int, help="dimension (default 10 / 64)")
     pe.add_argument("--m", type=int, help="constraints/measurements "
@@ -318,7 +322,8 @@ def build_parser() -> tuple[argparse.ArgumentParser,
                          "(default %(default)s)")
     _add_common(pe)
 
-    po = sub.add_parser("oracle", help="brute-force reference solution")
+    po = sub.add_parser("oracle", help="brute-force reference solution",
+                        allow_abbrev=False)
     po.add_argument("--problem", required=True, help="problem JSON file")
     po.add_argument("--out", help="also write oracle.json here")
     return parser, sub.choices

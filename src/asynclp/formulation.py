@@ -180,10 +180,10 @@ def to_asynchronous_form(lp: StandardLP) -> AsyncFormProblem:
     b - A x1.  The objective transfers exactly: w'z1 = f'x.
     """
     M, N = lp.A.shape
-    B = np.block([
-        [np.zeros((N, M)), np.eye(N)],
-        [np.eye(M), -lp.A],
-    ])
+    B = np.zeros((N + M, M + N))
+    np.fill_diagonal(B[:N, M:], 1.0)
+    np.fill_diagonal(B[N:, :M], 1.0)
+    np.negative(lp.A, out=B[N:, M:])
     inputs = (
         VariableSpec("b", Role.INPUT, Kind.FIXED, M, rho=lp.b),
         VariableSpec("x1", Role.INPUT, Kind.LINEAR_COST, N, rho=lp.f),

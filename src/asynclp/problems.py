@@ -80,10 +80,11 @@ def chebyshev_encode(inst: ChebyshevInstance) -> AsyncFormProblem:
     """
     M, N = inst.A.shape
     n = inst.n_norms
-    B = np.block([
-        [np.ones((1, 1)), np.zeros((1, N)), np.zeros((1, 1))],
-        [-n[:, None], -inst.A, inst.b[:, None]],
-    ])
+    B = np.zeros((M + 1, N + 2))
+    B[0, 0] = 1.0
+    B[1:, 0] = -n
+    np.negative(inst.A, out=B[1:, 1:N + 1])
+    B[1:, N + 1] = inst.b
     inputs = (
         VariableSpec("r1", Role.INPUT, Kind.LINEAR_COST, 1, rho=np.array([-1.0])),
         VariableSpec("x_c", Role.INPUT, Kind.LINEAR_COST, N, rho=np.zeros(N)),

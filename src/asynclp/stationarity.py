@@ -73,9 +73,9 @@ def build_G(B: np.ndarray) -> np.ndarray:
     eigenvalue.  It is evaluated as G = 2 (I - R)^{-1} - I, with
     I - R = [[I_Q, B'], [-B, I_P]] inverted through the Schur complement of
     its larger identity block.  Let C = B if P <= Q and C = B' otherwise, so
-    C has r = min(P, Q) rows and c columns, and solve once
+    C has r = min(P, Q) rows and c columns, and take one r x r inverse
 
-        (I_r + C C') [T, U] = [C, I_r],   T: r x c,  U: r x r.
+        U = (I_r + C C')^{-1},   T = U C   (r x c).
 
     Then
 
@@ -84,20 +84,38 @@ def build_G(B: np.ndarray) -> np.ndarray:
         P >  Q:  G = [[2 U - I_Q,     -2 T      ],
                       [2 T',          I_P - 2 B T]]
 
-    in the coordinate order of build_R (Q inputs, then P outputs).
+    in the coordinate order of build_R (Q inputs, then P outputs).  The four
+    blocks are written straight into G, with no block temporaries.
     """
     B = np.asarray(B, dtype=float)
     P, Q = B.shape
+    n = P + Q
     wide = P <= Q
     C = B if wide else B.T
     r, c = C.shape
-    X = np.linalg.solve(np.eye(r) + C @ C.T, np.hstack([C, np.eye(r)]))
-    T, U = X[:, :c], X[:, c:]
-    outer = np.eye(c) - 2.0 * (C.T @ T)
-    gram = 2.0 * U - np.eye(r)
+    gram = C @ C.T
+    gram.flat[::r + 1] += 1.0
+    U = np.linalg.inv(gram)
+    # the small (r) block sits after the c inputs when wide, first when tall
+    small = slice(c, n) if wide else slice(0, r)
+    large = slice(0, c) if wide else slice(r, n)
+    G = np.empty((n, n))
+    T = G[small, large]
+    np.matmul(U, C, out=T)
+    outer = G[large, large]
+    np.matmul(C.T, T, out=outer)
+    outer *= -2.0
+    T *= 2.0
     if wide:
-        return np.block([[outer, -2.0 * T.T], [2.0 * T, gram]])
-    return np.block([[gram, -2.0 * T], [2.0 * T.T, outer]])
+        np.negative(T.T, out=G[large, small])
+    else:
+        G[large, small] = T.T
+        np.negative(T, out=T)
+    np.multiply(U, 2.0, out=G[small, small])
+    diag = G.reshape(-1)[::n + 1]
+    diag[large] += 1.0
+    diag[small] -= 1.0
+    return G
 
 
 def build_G_factored(B: np.ndarray) -> np.ndarray:
@@ -143,23 +161,12 @@ def apply_nonlinearity(kind: Kind, role: Role, d, rho=0.0, gamma: float = 1.0):
     return sign * (gamma * _BASE[kind](d))
 
 
-def _coordinate_tables(problem: AsyncFormProblem):
-    """Flatten variable declarations into per-coordinate arrays.
-
-    Coordinates are ordered inputs-then-outputs, each group in declaration
-    order.  Returns (kinds, sign, rho) over all Q+P coordinates, with sign
-    +1 on inputs and -1 on outputs.
-    """
-    kinds: list[Kind] = []
-    sign: list[float] = []
-    rho: list[float] = []
-    for v in problem.specs():
-        r = v.rho if v.rho is not None else np.zeros(v.length)
-        for i in range(v.length):
-            kinds.append(v.kind)
-            sign.append(_SIGN[v.role])
-            rho.append(float(r[i]))
-    return kinds, np.asarray(sign), np.asarray(rho)
+def _block(G: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """G[rows][:, cols]: a view when both index runs are contiguous (as every
+    encoder's partitions are), else an np.ix_ copy."""
+    if rows[-1] - rows[0] == len(rows) - 1 and cols[-1] - cols[0] == len(cols) - 1:
+        return G[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    return G[np.ix_(rows, cols)]
 
 
 @dataclass
@@ -179,7 +186,8 @@ class StationaritySystem:
     nl_is_l1 : ndarray    bool; True where the base map is m1 rather than | . |
     aff_sign : ndarray    +1 on affine input coordinates, -1 on affine outputs
     G11, G12, G21 : ndarray
-        blocks of G by partition (1 affine, 2 nonlinear), sliced on access
+        blocks of G by partition (1 affine, 2 nonlinear), taken on access:
+        views of G when the partitions are contiguous, copies otherwise
     D, d0 : ndarray       recovery map d1 = D c2 + d0 of the affine coordinates
     objective_c2, objective_0 : ndarray, float
         linear-cost part of the objective, objective_c2 . c2 + objective_0
@@ -219,11 +227,11 @@ class StationaritySystem:
     def n_affine(self) -> int:
         return len(self.affine_idx)
 
-    G11 = property(lambda self: self.G[np.ix_(self.affine_idx, self.affine_idx)])
-    G12 = property(lambda self: self.G[np.ix_(self.affine_idx,
-                                              self.nonlinear_idx)])
-    G21 = property(lambda self: self.G[np.ix_(self.nonlinear_idx,
-                                              self.affine_idx)])
+    G11 = property(lambda self: _block(self.G, self.affine_idx, self.affine_idx))
+    G12 = property(lambda self: _block(self.G, self.affine_idx,
+                                       self.nonlinear_idx))
+    G21 = property(lambda self: _block(self.G, self.nonlinear_idx,
+                                       self.affine_idx))
 
     # -- nonlinearity over the reduced coordinates --------------------------
 
@@ -311,6 +319,12 @@ def reduce(G: np.ndarray, problem: AsyncFormProblem) -> StationaritySystem:
         Must be well-formed and contain at least one affine and one nonlinear
         coordinate.
 
+    The per-coordinate tables (S, h, signs, l1 flags, costs) are repeated from
+    one entry per variable.  G's blocks are views when a partition is one
+    contiguous run, as every encoder's is, and np.ix_ copies otherwise.  The
+    one factorisation is W = (I - S G11)^{-1}; G', e, D and d0 are products
+    with it (module docstring).
+
     Raises
     ------
     ValueError
@@ -323,33 +337,41 @@ def reduce(G: np.ndarray, problem: AsyncFormProblem) -> StationaritySystem:
     errors = validate_async_form(problem)
     if errors:
         raise ValueError("invalid problem: " + "; ".join(errors))
-    kinds, sign, rho = _coordinate_tables(problem)
-    n = len(kinds)
+    # coordinates run inputs then outputs in declaration order, and so do
+    # each partition's, so a partition's tables repeat over its own variables
+    specs = problem.specs()
+    lengths = [v.length for v in specs]
+    n = sum(lengths)
     if G.shape != (n, n):
         raise ValueError(f"G has shape {G.shape}, expected ({n}, {n})")
-
-    affine_mask = np.asarray([k.is_affine for k in kinds])
+    affine_mask = np.repeat([v.kind.is_affine for v in specs], lengths)
     affine_idx = np.flatnonzero(affine_mask)
     nonlinear_idx = np.flatnonzero(~affine_mask)
     if len(affine_idx) == 0 or len(nonlinear_idx) == 0:
         raise ValueError(
             "reduction needs at least one affine and one nonlinear coordinate"
         )
+    affine = [v for v in specs if v.kind.is_affine]
+    nonlinear = [v for v in specs if not v.kind.is_affine]
+    aff_len = [v.length for v in affine]
+    nl_len = [v.length for v in nonlinear]
 
     # affine maps c = S d + h, coordinate-wise, from the map table
-    s = sign[affine_idx] * np.asarray([_AFFINE_SLOPE[kinds[i]] for i in affine_idx])
-    h = -2.0 * s * rho[affine_idx]
+    aff_sign = np.repeat([_SIGN[v.role] for v in affine], aff_len)
+    s = aff_sign * np.repeat([_AFFINE_SLOPE[v.kind] for v in affine], aff_len)
+    rho = np.concatenate([v.rho for v in affine])
+    h = -2.0 * s * rho
 
-    nl_sign = sign[nonlinear_idx]
-    nl_is_l1 = np.asarray([_BASE[kinds[i]] is m1 for i in nonlinear_idx])
+    nl_sign = np.repeat([_SIGN[v.role] for v in nonlinear], nl_len)
+    nl_is_l1 = np.repeat([_BASE[v.kind] is m1 for v in nonlinear], nl_len)
 
-    G11 = G[np.ix_(affine_idx, affine_idx)]
-    G12 = G[np.ix_(affine_idx, nonlinear_idx)]
-    G21 = G[np.ix_(nonlinear_idx, affine_idx)]
-    G22 = G[np.ix_(nonlinear_idx, nonlinear_idx)]
+    G11 = _block(G, affine_idx, affine_idx)
+    G12 = _block(G, affine_idx, nonlinear_idx)
+    G21 = _block(G, nonlinear_idx, affine_idx)
+    G22 = _block(G, nonlinear_idx, nonlinear_idx)
 
-    K1 = len(affine_idx)
-    M_red = np.eye(K1) - s[:, None] * G11     # I - S G11
+    M_red = G11 * -s[:, None]                  # I - S G11
+    M_red.flat[::len(affine_idx) + 1] += 1.0
     try:
         W = np.linalg.inv(M_red)
     except np.linalg.LinAlgError as exc:
@@ -363,15 +385,16 @@ def reduce(G: np.ndarray, problem: AsyncFormProblem) -> StationaritySystem:
         )
     X = W @ (s[:, None] * G12)
     Wh = W @ h
-    Gprime = G22 + G21 @ X
+    Gprime = G21 @ X
+    Gprime += G22
     e = G21 @ Wh
 
     # recovery d1 = D c2 + d0 (module docstring); on linear-cost coordinates
     # z = d1 - rho on either side, so the linear objective is affine in c2
     D = s[:, None] * X
     d0 = s * (Wh - h)
-    cost = np.where([kinds[i] is Kind.LINEAR_COST for i in affine_idx],
-                    rho[affine_idx], 0.0)
+    cost = np.where(np.repeat([v.kind is Kind.LINEAR_COST for v in affine],
+                              aff_len), rho, 0.0)
 
     return StationaritySystem(
         problem=problem,
@@ -384,11 +407,11 @@ def reduce(G: np.ndarray, problem: AsyncFormProblem) -> StationaritySystem:
         nonlinear_idx=nonlinear_idx,
         nl_sign=nl_sign,
         nl_is_l1=nl_is_l1,
-        aff_sign=sign[affine_idx],
+        aff_sign=aff_sign,
         D=D,
         d0=d0,
         objective_c2=cost @ D,
-        objective_0=float(cost @ (d0 - rho[affine_idx])),
+        objective_0=float(cost @ (d0 - rho)),
     )
 
 

@@ -354,6 +354,37 @@ def test_experiment_has_no_p_flag(tmp_path):
     assert not (tmp_path / "exp").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "PROBLEM", "--max", "5"],
+    ["experiment", "--preset", "bp", "--n", "8", "--m", "4", "--sparsity", "1",
+     "--trials", "1", "--p-l", "0.3"],
+], ids=["solve --max", "experiment --p-l"])
+def test_flag_abbreviations_are_refused(argv, lp_file, tmp_path, capsys):
+    # no prefix matching: an abbreviation that names one flag today would
+    # change meaning when a flag sharing its prefix is added
+    argv = [str(lp_file) if a == "PROBLEM" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_full_flag_names_and_config_keys_still_parse(lp_file, tmp_path):
+    out = tmp_path / "run"
+    cli.main(["solve", "--problem", str(lp_file), "--max-equiv-iters", "5",
+              "--mode", "sync", "--tol", "0", "--out", str(out)])
+    assert _read_solution(out)["equivalent_iterations"] == 5.0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max-equiv-iters": 3, "p-list": "0.3"}))
+    out = tmp_path / "exp"
+    assert cli.main(["experiment", "--preset", "bp", "--n", "8", "--m", "4",
+                     "--sparsity", "1", "--trials", "1", "--config",
+                     str(config), "--out", str(out)]) == 0
+    with open(out / "summary.json") as fh:
+        assert list(json.load(fh)["groups"]) == ["p=0.3"]
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])

@@ -152,22 +152,27 @@ def test_m_scalar_bit_identical_to_vector_path():
                 assert system.m_scalar(k, d2[k], gamma) == vec[k]
 
 
-def test_reduce_reads_the_same_table_as_apply_nonlinearity():
-    # every affine (kind, role) pair, linear-cost outputs included (no encoder
-    # produces one), plus nonlinear inputs and outputs of both kinds
-    rng = np.random.default_rng(7)
+def _eight_kind_problem(rng):
+    """Every affine (kind, role) pair, linear-cost outputs included (no encoder
+    produces one), plus nonlinear inputs and outputs of both kinds, declared
+    interleaved so that neither partition is one contiguous run."""
     decls = [("a", Role.INPUT, Kind.FIXED, 2), ("b", Role.INPUT, Kind.LINEAR_COST, 2),
              ("p", Role.INPUT, Kind.NON_NEGATIVE, 2), ("q", Role.INPUT, Kind.L1_COST, 1),
              ("c", Role.OUTPUT, Kind.FIXED, 2), ("f", Role.OUTPUT, Kind.LINEAR_COST, 2),
              ("r", Role.OUTPUT, Kind.NON_NEGATIVE, 2), ("w", Role.OUTPUT, Kind.L1_COST, 1)]
+    specs = [VariableSpec(name, role, kind, n,
+                          rho=rng.normal(size=n) if kind.is_affine else None)
+             for name, role, kind, n in decls]
+    return AsyncFormProblem(
+        B=rng.normal(size=(7, 7)),
+        inputs=tuple(v for v in specs if v.role is Role.INPUT),
+        outputs=tuple(v for v in specs if v.role is Role.OUTPUT))
+
+
+def test_reduce_reads_the_same_table_as_apply_nonlinearity():
+    rng = np.random.default_rng(7)
     for _ in range(20):
-        specs = [VariableSpec(name, role, kind, n,
-                              rho=rng.normal(size=n) if kind.is_affine else None)
-                 for name, role, kind, n in decls]
-        problem = AsyncFormProblem(
-            B=rng.normal(size=(7, 7)),
-            inputs=tuple(v for v in specs if v.role is Role.INPUT),
-            outputs=tuple(v for v in specs if v.role is Role.OUTPUT))
+        problem = _eight_kind_problem(rng)
         system = st.build_system(problem)
         coords = [(v.kind, v.role, None if v.rho is None else v.rho[i])
                   for v in problem.specs() for i in range(v.length)]
@@ -281,6 +286,80 @@ def test_recovery_satisfies_problem_relations_at_fixed_point():
     assert np.abs(values["x2"] - values["x1"]).max() <= 1e-8
     assert np.abs(values["y"] - (lp.b - lp.A @ values["x1"])).max() <= 1e-8
     assert values["x2"].min() >= -1e-8 and values["y"].min() >= -1e-8
+
+
+def _dense_elimination(G, problem):
+    """Reference reduction: np.ix_ blocks of G, the map table read per
+    coordinate, and LU solves only (no inverse).  Returns the blocks and
+    (Gprime, e, D, d0, objective_c2, objective_0)."""
+    coords = [(v.kind, v.role, 0.0 if v.rho is None else v.rho[i])
+              for v in problem.specs() for i in range(v.length)]
+    aff = np.array([i for i, c in enumerate(coords) if c[0].is_affine])
+    nl = np.array([i for i, c in enumerate(coords) if not c[0].is_affine])
+    sign = np.array([1.0 if coords[i][1] is Role.INPUT else -1.0 for i in aff])
+    s = sign * np.array([-1.0 if coords[i][0] is Kind.FIXED else 1.0 for i in aff])
+    rho = np.array([coords[i][2] for i in aff])
+    h = -2.0 * s * rho
+    G11, G12 = G[np.ix_(aff, aff)], G[np.ix_(aff, nl)]
+    G21, G22 = G[np.ix_(nl, aff)], G[np.ix_(nl, nl)]
+    # c1 = S d1 + h eliminated from d1 = G11 c1 + G12 c2, d2 = G21 c1 + G22 c2
+    K1 = len(aff)
+    sol = np.linalg.solve(np.eye(K1) - s[:, None] * G11,
+                          np.column_stack([s[:, None] * G12, h]))
+    Gprime = G22 + G21 @ sol[:, :-1]
+    e = G21 @ sol[:, -1]
+    # (I - G11 S) d1 = G12 c2 + G11 h
+    rec = np.linalg.solve(np.eye(K1) - G11 * s, np.column_stack([G12, G11 @ h]))
+    D, d0 = rec[:, :-1], rec[:, -1]
+    # z1 = (d1 + sign c1)/2 on affine coordinates; rho is the linear cost
+    cost = np.array([coords[i][2] if coords[i][0] is Kind.LINEAR_COST else 0.0
+                     for i in aff])
+    scale = (1.0 + sign * s) / 2.0
+    objective_c2 = cost @ (scale[:, None] * D)
+    objective_0 = float(cost @ (scale * d0 + sign * h / 2.0))
+    return ((G11, G12, G21),
+            (Gprime, e, D, d0, objective_c2, objective_0))
+
+
+def _reduction_cases():
+    rng = np.random.default_rng(13)
+    cases = [("interleaved", _eight_kind_problem(rng)) for _ in range(10)]
+    cases += [("standard", to_asynchronous_form(random_standard_lp(rng)))
+              for _ in range(4)]
+    cases += [("chebyshev", chebyshev_encode(gen_chebyshev(n, m, seed=n)))
+              for n, m in ((3, 8), (10, 20))]
+    cases += [("basis_pursuit", basis_pursuit_encode(
+        gen_basis_pursuit(n, m, k, seed=n))) for n, m, k in ((16, 8, 2), (64, 32, 4))]
+    return cases
+
+
+def test_reduce_equals_dense_elimination():
+    # the interleaved layout takes reduce's np.ix_ path, the three encoders
+    # (Chebyshev's B is tall, basis pursuit's wide) its contiguous-view path
+    for layout, problem in _reduction_cases():
+        G = st.build_G(problem.B)
+        system = st.reduce(G, problem)
+        contiguous = all(np.all(np.diff(idx) == 1)
+                         for idx in (system.affine_idx, system.nonlinear_idx))
+        assert contiguous == (layout != "interleaved")
+        blocks, expected = _dense_elimination(G, problem)
+        for got, want in zip((system.G11, system.G12, system.G21), blocks):
+            assert np.array_equal(got, want), layout
+        got = (system.Gprime, system.e, system.D, system.d0,
+               system.objective_c2, system.objective_0)
+        for name, g, w in zip(("Gprime", "e", "D", "d0", "objective_c2",
+                               "objective_0"), got, expected):
+            assert np.abs(np.asarray(g) - w).max() <= 1e-12, (layout, name)
+
+
+def test_benchmark_scale_operators_are_orthogonal():
+    # the 512 x 200 basis-pursuit set-up of the benchmark's bp-large
+    # workload, held to its orthogonality bound on G (1e-9) and to 1e-10 on G'
+    problem = basis_pursuit_encode(gen_basis_pursuit(512, 200, 16))
+    system = st.reduce(st.build_G(problem.B), problem)
+    G, Gp = system.G, system.Gprime
+    assert np.abs(G.T @ G - np.eye(len(G))).max() <= 1e-9
+    assert np.abs(Gp.T @ Gp - np.eye(len(Gp))).max() <= 1e-10
 
 
 def test_reduce_rejects_invalid_and_unpartitioned_problems():
