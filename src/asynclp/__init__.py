@@ -37,8 +37,6 @@ from .formulation import (
     Role,
     StandardLP,
     VariableSpec,
-    load_problem,
-    save_problem,
     to_asynchronous_form,
     validate_async_form,
 )
@@ -57,6 +55,8 @@ from .problems import (
     chebyshev_recover,
     gen_basis_pursuit,
     gen_chebyshev,
+    load_problem,
+    save_problem,
 )
 from .stationarity import (
     ReductionSingularError,

@@ -20,21 +20,11 @@ import sys
 import numpy as np
 
 from . import distributed, engine, formulation, oracle, problems
-from .stationarity import build_system
+from .stationarity import ReductionSingularError, build_system
 
 
 # ---------------------------------------------------------------------------
-# loading and encoding
-
-def load_any(path):
-    """Load a problem file of any supported kind."""
-    with open(path) as fh:
-        d = json.load(fh)
-    kind = d.get("kind")
-    if kind in ("standard_lp", "async_form"):
-        return formulation.problem_from_dict(d)
-    return problems.instance_from_dict(d)
-
+# encoding and references
 
 def encode(problem) -> formulation.AsyncFormProblem:
     if isinstance(problem, formulation.AsyncFormProblem):
@@ -102,31 +92,49 @@ def _deep_reference(system, budget: float) -> dict[str, np.ndarray] | None:
     return system.recover_variables(state.d2, state.c2)
 
 
+def _oracle(problem) -> oracle.OracleSolution | None:
+    """Vertex enumeration for a standard LP, the inscribed-ball reference for
+    a Chebyshev instance, None for the kinds the oracle does not cover."""
+    if isinstance(problem, formulation.StandardLP):
+        return oracle.solve_vertex_enum(problem)
+    if isinstance(problem, problems.ChebyshevInstance):
+        return oracle.solve_chebyshev_reference(problem.A, problem.b)
+    return None
+
+
 def _reference_for(problem, system, args) -> dict[str, np.ndarray] | None:
-    """Oracle reference when enumerable, else a deep solve (see README)."""
+    """The planted solution of a basis-pursuit instance; else the oracle's
+    answer where it covers the kind, else a deep solve (see README)."""
+    if isinstance(problem, problems.BasisPursuitInstance):
+        return {"x": problem.x_true}
     try:
-        if isinstance(problem, formulation.StandardLP):
-            sol = oracle.solve_vertex_enum(problem)
-            if sol.status in ("optimal", "degenerate"):
-                return {"x1": sol.x_star}
-        elif isinstance(problem, problems.ChebyshevInstance):
-            N = problem.A.shape[1]
-            sol = oracle.solve_chebyshev_reference(problem.A, problem.b)
-            if sol.status in ("optimal", "degenerate"):
-                return {"x_c": sol.x_star[:N], "r1": sol.x_star[N:]}
-        elif not isinstance(problem, problems.BasisPursuitInstance):
-            return None
+        sol = _oracle(problem)
     except ValueError:  # the oracle refuses instances too large to enumerate
-        pass
-    return _deep_reference(system, 2 * args.max_equiv_iters)
+        return _deep_reference(system, 2 * args.max_equiv_iters)
+    if sol is None:
+        return None
+    if sol.status not in ("optimal", "degenerate"):
+        return _deep_reference(system, 2 * args.max_equiv_iters)
+    if isinstance(problem, formulation.StandardLP):
+        return {"x1": sol.x_star}
+    N = problem.A.shape[1]   # x_star = [x_c, r] of the inscribed ball
+    return {"x_c": sol.x_star[:N], "r1": sol.x_star[N:]}
 
 
 # ---------------------------------------------------------------------------
 # commands
 
+def _invalid(path, exc: Exception) -> int:
+    print(f"invalid problem {path}: {exc}", file=sys.stderr)
+    return 2
+
+
 def cmd_solve(args) -> int:
-    problem = load_any(args.problem)
-    system = build_system(encode(problem))
+    try:
+        problem = problems.load_problem(args.problem)
+        system = build_system(encode(problem))
+    except (ValueError, ReductionSingularError) as exc:
+        return _invalid(args.problem, exc)
     reference = _reference_for(problem, system, args) if args.with_reference else None
     result, traj = _run_once(system, args, args.seed, args.p, reference)
     os.makedirs(args.out, exist_ok=True)
@@ -146,10 +154,8 @@ def cmd_solve(args) -> int:
 def _gen_instance(args, trial_seed: int):
     if args.preset == "chebyshev":
         return problems.gen_chebyshev(args.n, args.m, seed=trial_seed)
-    if args.preset == "bp":
-        return problems.gen_basis_pursuit(args.n, args.m, args.sparsity,
-                                          seed=trial_seed)
-    raise ValueError(f"unknown preset {args.preset!r}")
+    return problems.gen_basis_pursuit(args.n, args.m, args.sparsity,
+                                      seed=trial_seed)
 
 
 def _unit_grid(traj: engine.Trajectory, units: int) -> np.ndarray:
@@ -187,10 +193,7 @@ def cmd_experiment(args) -> int:
         trial_seed = args.seed + t
         inst = _gen_instance(args, trial_seed)
         system = build_system(encode(inst))
-        if args.preset == "bp":
-            reference = {"x": inst.x_true}
-        else:
-            reference = _reference_for(inst, system, args)
+        reference = _reference_for(inst, system, args)
         for label, p in groups:
             result, traj = _run_once(system, args, trial_seed, p, reference)
             runs[label].append((result["converged"], result["residual"],
@@ -228,12 +231,12 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    problem = load_any(args.problem)
-    if isinstance(problem, formulation.StandardLP):
-        sol = oracle.solve_vertex_enum(problem)
-    elif isinstance(problem, problems.ChebyshevInstance):
-        sol = oracle.solve_chebyshev_reference(problem.A, problem.b)
-    else:
+    try:
+        problem = problems.load_problem(args.problem)
+    except ValueError as exc:
+        return _invalid(args.problem, exc)
+    sol = _oracle(problem)
+    if sol is None:
         print("oracle supports standard_lp and chebyshev problem kinds",
               file=sys.stderr)
         return 2

@@ -307,13 +307,16 @@ def run(system: StationaritySystem, schedule: ScheduleConfig,
     The budget is max_equiv_iters equivalent iterations (fired updates / K),
     and tol is checked once per equivalent iteration.  Per-variable
     `reference` values fill the dist_to_ref column; `state` resumes a run
-    instead of the cold start (c2=0, d2=e).  Returns (state, trajectory);
-    state.converged records whether tol was reached within budget.
+    instead of the cold start (c2=0, d2=e) and draws from the stream
+    [seed, fired_updates], so that chunks do not replay one firing pattern.
+    Returns (state, trajectory); state.converged records whether tol was
+    reached within budget.
     """
     if state is None:
         state = init_state(system)
     K = state.n_coords
-    rng = np.random.default_rng(schedule.seed)
+    rng = np.random.default_rng([schedule.seed, state.fired_updates]
+                                if state.fired_updates else schedule.seed)
 
     def advance(state: SolverState, stop: int) -> None:
         g = schedule.gamma(state.fired_updates // K + 1)

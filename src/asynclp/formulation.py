@@ -17,8 +17,7 @@ on unconstrained vectors.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -112,8 +111,9 @@ class VariableSpec:
             raise ValueError("variable name must be non-empty")
         object.__setattr__(self, "role", Role(self.role))
         object.__setattr__(self, "kind", Kind(self.kind))
-        if self.length < 1:
-            raise ValueError(f"variable {self.name!r}: length must be >= 1")
+        if not isinstance(self.length, (int, np.integer)) or self.length < 1:
+            raise ValueError(f"variable {self.name!r}: length must be an "
+                             "integer >= 1")
         if self.rho is not None:
             object.__setattr__(self, "rho", _as_float_array(self.rho, f"rho[{self.name}]", 1))
 
@@ -234,67 +234,3 @@ def validate_async_form(problem: AsyncFormProblem) -> list[str]:
             if v.rho is not None:
                 errors.append(f"{v.name!r} is l1_cost and must not carry rho")
     return errors
-
-
-# ---------------------------------------------------------------------------
-# problem files
-
-def _spec_to_dict(v: VariableSpec) -> dict:
-    return {
-        "name": v.name,
-        "role": v.role.value,
-        "kind": v.kind.value,
-        "length": v.length,
-        "rho": None if v.rho is None else v.rho.tolist(),
-    }
-
-
-def _spec_from_dict(d: dict) -> VariableSpec:
-    return VariableSpec(
-        name=d["name"],
-        role=Role(d["role"]),
-        kind=Kind(d["kind"]),
-        length=int(d["length"]),
-        rho=None if d.get("rho") is None else np.asarray(d["rho"], dtype=float),
-    )
-
-
-def problem_to_dict(problem: StandardLP | AsyncFormProblem) -> dict:
-    if isinstance(problem, StandardLP):
-        return {
-            "kind": "standard_lp",
-            "A": problem.A.tolist(),
-            "b": problem.b.tolist(),
-            "f": problem.f.tolist(),
-        }
-    if isinstance(problem, AsyncFormProblem):
-        return {
-            "kind": "async_form",
-            "B": problem.B.tolist(),
-            "inputs": [_spec_to_dict(v) for v in problem.inputs],
-            "outputs": [_spec_to_dict(v) for v in problem.outputs],
-        }
-    raise TypeError(f"unsupported problem type {type(problem).__name__}")
-
-
-def problem_from_dict(d: dict) -> StandardLP | AsyncFormProblem:
-    kind = d.get("kind")
-    if kind == "standard_lp":
-        return StandardLP(f=d["f"], A=d["A"], b=d["b"])
-    if kind == "async_form":
-        return AsyncFormProblem(
-            B=np.asarray(d["B"], dtype=float),
-            inputs=tuple(_spec_from_dict(v) for v in d["inputs"]),
-            outputs=tuple(_spec_from_dict(v) for v in d["outputs"]),
-        )
-    raise ValueError(f"unknown problem kind {kind!r}")
-
-
-def save_problem(problem, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(problem_to_dict(problem), fh, indent=2)
-
-
-def load_problem(path) -> StandardLP | AsyncFormProblem:
-    with open(path) as fh:
-        return problem_from_dict(json.load(fh))

@@ -1,16 +1,20 @@
-"""Benchmark problem families: largest inscribed ball and basis pursuit.
+"""Benchmark problem families, largest inscribed ball and basis pursuit, and
+the problem files of every kind (KINDS).
 
-Both are encoded directly in the asynchronous form (no detour through the
-standard-form embedding), which keeps their operator blocks small.
+Both families are encoded directly in the asynchronous form (no detour
+through the standard-form embedding), which keeps their operator blocks small.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from enum import Enum
 
 import numpy as np
 
-from .formulation import AsyncFormProblem, Kind, Role, VariableSpec
+from .formulation import (AsyncFormProblem, Kind, Role, StandardLP,
+                          VariableSpec, _as_float_array)
 from .stationarity import StationaritySystem
 
 
@@ -26,9 +30,9 @@ class ChebyshevInstance:
     b: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if A.ndim != 2 or b.shape != (A.shape[0],):
+        A = _as_float_array(self.A, "A", 2)
+        b = _as_float_array(self.b, "b", 1)
+        if b.shape != (A.shape[0],):
             raise ValueError("A must be M x N with b of length M")
         norms = np.linalg.norm(A, axis=1)
         if np.any(norms == 0.0):
@@ -119,10 +123,10 @@ class BasisPursuitInstance:
     x_true: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        x = np.asarray(self.x_true, dtype=float)
-        if A.ndim != 2 or b.shape != (A.shape[0],) or x.shape != (A.shape[1],):
+        A = _as_float_array(self.A, "A", 2)
+        b = _as_float_array(self.b, "b", 1)
+        x = _as_float_array(self.x_true, "x_true", 1)
+        if b.shape != (A.shape[0],) or x.shape != (A.shape[1],):
             raise ValueError("need A (M x N), b (M,), x_true (N,)")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -164,24 +168,68 @@ def basis_pursuit_recover(system: StationaritySystem, d2: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# problem files
 
-def instance_to_dict(inst) -> dict:
-    if isinstance(inst, ChebyshevInstance):
-        return {"kind": "chebyshev", "A": inst.A.tolist(), "b": inst.b.tolist()}
-    if isinstance(inst, BasisPursuitInstance):
-        return {"kind": "basis_pursuit", "A": inst.A.tolist(),
-                "b": inst.b.tolist(), "x_true": inst.x_true.tolist()}
-    raise TypeError(f"unsupported instance type {type(inst).__name__}")
+# every problem kind, by the "kind" value of its JSON file
+KINDS = {"standard_lp": StandardLP, "async_form": AsyncFormProblem,
+         "chebyshev": ChebyshevInstance, "basis_pursuit": BasisPursuitInstance}
 
 
-def instance_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "chebyshev":
-        return ChebyshevInstance(A=np.asarray(d["A"], dtype=float),
-                                 b=np.asarray(d["b"], dtype=float))
-    if kind == "basis_pursuit":
-        return BasisPursuitInstance(A=np.asarray(d["A"], dtype=float),
-                                    b=np.asarray(d["b"], dtype=float),
-                                    x_true=np.asarray(d["x_true"], dtype=float))
-    raise ValueError(f"unknown instance kind {kind!r}")
+def _to_json(value):
+    """Dataclass fields in declaration order, spec tuples as lists, arrays
+    and enums as their JSON values."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if isinstance(value, Enum):
+        return value.value
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _checked(cls, d, what: str) -> dict:
+    """d, if it is an object with every required field of cls and no other
+    key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    names = {f.name for f in fields(cls)}
+    errors = [f"missing key {f.name!r}" for f in fields(cls)
+              if f.default is MISSING and f.name not in d]
+    errors += [f"unknown key {key!r}" for key in d if key not in names]
+    if errors:
+        raise ValueError(f"{what}: " + "; ".join(errors))
+    return d
+
+
+def problem_to_dict(problem) -> dict:
+    for kind, cls in KINDS.items():
+        if type(problem) is cls:
+            return {"kind": kind, **_to_json(problem)}
+    raise TypeError(f"unsupported problem type {type(problem).__name__}")
+
+
+def problem_from_dict(d):
+    """The problem a file's JSON object describes; ValueError for an unknown
+    kind, a missing or unknown key, or a value its class refuses."""
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    d = _checked(KINDS[kind], {k: v for k, v in d.items() if k != "kind"}, kind)
+    try:
+        if kind == "async_form":
+            for side in ("inputs", "outputs"):
+                d[side] = tuple(VariableSpec(**_checked(VariableSpec, v, side))
+                                for v in d[side])
+        return KINDS[kind](**d)
+    except TypeError as exc:   # a value of the wrong JSON type
+        raise ValueError(f"{kind}: {exc}") from exc
+
+
+def save_problem(problem, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(problem_to_dict(problem), fh, indent=2)
+
+
+def load_problem(path):
+    with open(path) as fh:
+        return problem_from_dict(json.load(fh))

@@ -3,6 +3,9 @@ import csv
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,8 @@ import pytest
 
 import asynclp
 from asynclp import cli, distributed, engine, oracle, problems, stationarity
-from asynclp.formulation import StandardLP, save_problem, to_asynchronous_form
+from asynclp.formulation import StandardLP, to_asynchronous_form
+from asynclp.problems import save_problem
 
 
 @pytest.fixture
@@ -25,7 +29,7 @@ def lp_file(tmp_path):
 def cheb_file(tmp_path):
     inst = problems.gen_chebyshev(3, 6, seed=0)
     path = tmp_path / "cheb.json"
-    path.write_text(json.dumps(problems.instance_to_dict(inst)))
+    save_problem(inst, path)
     return path
 
 
@@ -134,9 +138,70 @@ def test_oracle_command(lp_file, capsys, tmp_path):
 def test_oracle_rejects_basis_pursuit(tmp_path, capsys):
     inst = problems.gen_basis_pursuit(8, 4, 2, seed=0)
     path = tmp_path / "bp.json"
-    path.write_text(json.dumps(problems.instance_to_dict(inst)))
+    save_problem(inst, path)
     rc = cli.main(["oracle", "--problem", str(path)])
     assert rc == 2
+
+
+# malformed files the constructors, problem_from_dict or reduce refuse
+_INVALID_FILES = {
+    "nan": {"kind": "chebyshev", "A": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+            "b": [1.0, float("nan"), 1.0]},
+    "unknown-key": {"kind": "standard_lp", "f": [1.0], "A": [[1.0]],
+                    "b": [1.0], "c": [1.0]},
+    "no-affine": {"kind": "async_form", "B": [[1.0]],
+                  "inputs": [{"name": "u", "role": "input",
+                              "kind": "non_negative", "length": 1}],
+                  "outputs": [{"name": "v", "role": "output",
+                               "kind": "non_negative", "length": 1}]},
+    "float-length": {"kind": "async_form", "B": [[1.0]],
+                     "inputs": [{"name": "u", "role": "input", "kind": "fixed",
+                                 "length": 1.0, "rho": [1.0]}],
+                     "outputs": [{"name": "v", "role": "output",
+                                  "kind": "non_negative", "length": 1}]},
+}
+
+
+@pytest.mark.parametrize("name", list(_INVALID_FILES))
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_invalid_problem_file_exits_2(command, name, tmp_path, capsys):
+    # invalid input is labelled with exit 2 and one line, never a traceback
+    # or an answer; exit 1 stays "NOT converged"
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_INVALID_FILES[name]))
+    rc = cli.main([command, "--problem", str(path),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    if command == "solve" or name != "no-affine":
+        assert err[0].startswith(f"invalid problem {path}: ")
+    assert not (tmp_path / "run").exists()
+
+
+def test_solve_basis_pursuit_reference_is_the_planted_solution(tmp_path,
+                                                               monkeypatch):
+    def no_deep_solve(system, budget):
+        raise AssertionError("basis pursuit needs no deep reference solve")
+
+    monkeypatch.setattr(cli, "_deep_reference", no_deep_solve)
+    inst = problems.gen_basis_pursuit(16, 8, 2, seed=1)
+    path = tmp_path / "bp.json"
+    save_problem(inst, path)
+    out = tmp_path / "run"
+    rc = cli.main(["solve", "--problem", str(path), "--with-reference",
+                   "--tol", "1e-9", "--out", str(out)])
+    assert rc == 0
+    with open(out / "trajectory.csv") as fh:
+        dist = [float(r["dist_to_ref"]) for r in csv.DictReader(fh)]
+    system = stationarity.build_system(problems.basis_pursuit_encode(inst))
+    start = engine.init_state(system)
+    x0 = problems.basis_pursuit_recover(system, start.d2, start.c2)
+    assert dist[0] == pytest.approx(np.linalg.norm(x0 - inst.x_true),
+                                    rel=1e-12)
+    assert dist[-1] <= 1e-6
 
 
 def test_config_file_merge_and_flag_precedence(lp_file, tmp_path):
@@ -417,6 +482,23 @@ def test_traced_names_and_exports_resolve():
             assert last in owner.__dict__, f"{layer}.{attr}"
     for name in asynclp.__all__:
         assert hasattr(asynclp, name), name
+
+
+def test_package_imports_no_scipy():
+    # scipy is a test dependency only: importing the package and every
+    # submodule, cli included, in a fresh interpreter loads none of it
+    code = ("import importlib, pkgutil, sys, asynclp\n"
+            "for m in pkgutil.iter_modules(asynclp.__path__):\n"
+            "    importlib.import_module('asynclp.' + m.name)\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+    src = str(Path(asynclp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-c", "import json\n" + code],
+                          env=env, capture_output=True, text=True, check=True)
+    loaded = json.loads(proc.stdout)
+    assert "asynclp.cli" in loaded and "asynclp.oracle" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
 
 def test_traced_hooks_fill_their_counters():

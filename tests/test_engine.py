@@ -6,7 +6,8 @@ import pytest
 from asynclp import engine
 from asynclp.distributed import run_distributed
 from asynclp.formulation import StandardLP, to_asynchronous_form
-from asynclp.problems import chebyshev_encode, gen_chebyshev
+from asynclp.problems import (basis_pursuit_encode, chebyshev_encode,
+                              gen_basis_pursuit, gen_chebyshev)
 from asynclp.stationarity import build_system
 
 from conftest import mini_fixed_problem, random_async_problem
@@ -225,13 +226,34 @@ def test_randomk_is_scalar_draws_of_incremental_steps():
     hand = engine.SolverState(c2=state.c2.copy(), d2=state.d2.copy(),
                               fired_updates=state.fired_updates)
     engine.run(system, schedule, max_equiv_iters=30.4, tol=0.0, state=state)
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng([3, 3])   # resumed at fired_updates = 3
     while hand.fired_updates < 30.4 * K - 1e-9:
         g = schedule.gamma(hand.fired_updates // K + 1)
         engine.incremental_step(hand, system, int(rng.integers(K)), g)
     assert state.fired_updates == hand.fired_updates
     assert np.array_equal(state.d2, hand.d2)
     assert np.array_equal(state.c2, hand.c2)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_resumed_run_does_not_replay_its_firing_pattern(seed):
+    # a run resumed in 5-unit chunks draws each chunk from a stream keyed by
+    # where it resumes; replaying the cold start's pattern every chunk can
+    # multiply the iterations several times over
+    system = build_system(basis_pursuit_encode(
+        gen_basis_pursuit(64, 32, 4, seed=seed)))
+    schedule = engine.ScheduleConfig(mode="bernoulli", p=0.2, seed=seed,
+                                     homotopy="bp")
+    single, _ = engine.run(system, schedule, max_equiv_iters=1000, tol=1e-8)
+    assert single.converged
+    state = engine.init_state(system)
+    for chunk in range(1, 201):
+        engine.run(system, schedule, max_equiv_iters=5 * chunk, tol=1e-8,
+                   state=state)
+        if state.converged:
+            break
+    assert state.converged
+    assert state.equivalent_iterations <= 1.5 * single.equivalent_iterations
 
 
 def test_trajectory_reference_column(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from asynclp import formulation as fm
+from asynclp import problems
 
 from conftest import random_standard_lp
 
@@ -164,8 +165,8 @@ def test_standard_lp_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     lp = random_standard_lp(rng)
     path = tmp_path / "lp.json"
-    fm.save_problem(lp, path)
-    back = fm.load_problem(path)
+    problems.save_problem(lp, path)
+    back = problems.load_problem(path)
     assert isinstance(back, fm.StandardLP)
     assert np.array_equal(back.A, lp.A)
     assert np.array_equal(back.b, lp.b)
@@ -176,8 +177,8 @@ def test_async_form_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
     prob = fm.to_asynchronous_form(random_standard_lp(rng))
     path = tmp_path / "prob.json"
-    fm.save_problem(prob, path)
-    back = fm.load_problem(path)
+    problems.save_problem(prob, path)
+    back = problems.load_problem(path)
     assert isinstance(back, fm.AsyncFormProblem)
     assert np.array_equal(back.B, prob.B)
     for a, b in zip(back.specs(), prob.specs()):
@@ -192,4 +193,4 @@ def test_async_form_roundtrip(tmp_path):
 
 def test_problem_from_dict_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        fm.problem_from_dict({"kind": "mystery"})
+        problems.problem_from_dict({"kind": "mystery"})

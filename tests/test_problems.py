@@ -1,8 +1,13 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
+import asynclp
 from asynclp import engine, problems
-from asynclp.formulation import Kind, Role, validate_async_form
+from asynclp.formulation import (Kind, Role, StandardLP, to_asynchronous_form,
+                                 validate_async_form)
 from asynclp.stationarity import build_system
 
 
@@ -156,21 +161,99 @@ def test_basis_pursuit_small_recovery():
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# problem files
 
 def test_instance_roundtrips():
     cheb = problems.gen_chebyshev(3, 6, seed=5)
-    back = problems.instance_from_dict(problems.instance_to_dict(cheb))
+    back = problems.problem_from_dict(problems.problem_to_dict(cheb))
     assert isinstance(back, problems.ChebyshevInstance)
     assert np.array_equal(back.A, cheb.A) and np.array_equal(back.b, cheb.b)
 
     bp = problems.gen_basis_pursuit(12, 6, 2, seed=5)
-    back = problems.instance_from_dict(problems.instance_to_dict(bp))
+    back = problems.problem_from_dict(problems.problem_to_dict(bp))
     assert isinstance(back, problems.BasisPursuitInstance)
     assert np.array_equal(back.A, bp.A)
     assert np.array_equal(back.x_true, bp.x_true)
 
     with pytest.raises(ValueError):
-        problems.instance_from_dict({"kind": "mystery"})
+        problems.problem_from_dict({"kind": "mystery"})
     with pytest.raises(TypeError):
-        problems.instance_to_dict(object())
+        problems.problem_to_dict(object())
+
+
+def _assert_same(a, b):
+    """Exact equality of two problems: same classes, and every field equal,
+    arrays in shape, dtype and value."""
+    assert type(a) is type(b)
+    if isinstance(b, tuple):
+        assert len(a) == len(b)
+        for u, v in zip(a, b):
+            _assert_same(u, v)
+    elif isinstance(b, np.ndarray):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    elif dataclasses.is_dataclass(b):
+        for f in dataclasses.fields(b):
+            _assert_same(getattr(a, f.name), getattr(b, f.name))
+    else:
+        assert a == b
+
+
+def _problem_of_kind(kind):
+    lp = StandardLP(f=[-1.0, -2.0], A=[[1.0, 1.0], [2.0, 1.0]], b=[4.0, 6.0])
+    if kind == "standard_lp":
+        return lp
+    if kind == "async_form":   # its output specs carry rho=None
+        return to_asynchronous_form(lp)
+    if kind == "chebyshev":
+        return problems.gen_chebyshev(3, 6, seed=5)
+    return problems.gen_basis_pursuit(12, 6, 2, seed=5)
+
+
+@pytest.mark.parametrize("kind", list(problems.KINDS))
+def test_problem_file_roundtrip(kind, tmp_path):
+    # one file layer for all four kinds, through both exports of load_problem
+    problem = _problem_of_kind(kind)
+    path = tmp_path / f"{kind}.json"
+    problems.save_problem(problem, path)
+    saved = json.loads(path.read_text())
+    assert list(saved) == ["kind"] + [f.name for f in
+                                      dataclasses.fields(problem)]
+    assert saved["kind"] == kind
+    for load in (problems.load_problem, asynclp.load_problem):
+        _assert_same(load(path), problem)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cls, field", [
+    (problems.ChebyshevInstance, "A"), (problems.ChebyshevInstance, "b"),
+    (problems.BasisPursuitInstance, "A"), (problems.BasisPursuitInstance, "b"),
+    (problems.BasisPursuitInstance, "x_true")])
+def test_instances_refuse_non_finite_entries(cls, field, value):
+    inst = problems.gen_basis_pursuit(12, 6, 2, seed=5)
+    data = {f.name: getattr(inst, f.name).copy()
+            for f in dataclasses.fields(cls)}
+    data[field].flat[3] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        cls(**data)
+
+
+@pytest.mark.parametrize("edit", ["missing", "unknown"])
+@pytest.mark.parametrize("kind", list(problems.KINDS))
+def test_problem_from_dict_refuses_missing_and_unknown_keys(kind, edit):
+    d = problems.problem_to_dict(_problem_of_kind(kind))
+    if edit == "missing":
+        del d[next(key for key in d if key != "kind")]
+    else:
+        d["extra"] = 1.0
+    with pytest.raises(ValueError, match=edit):
+        problems.problem_from_dict(d)
+    # a variable spec of an async_form file is checked the same way
+    if kind == "async_form":
+        d = problems.problem_to_dict(_problem_of_kind(kind))
+        if edit == "missing":
+            del d["inputs"][0]["role"]
+        else:
+            d["inputs"][0]["sign"] = 1
+        with pytest.raises(ValueError, match=edit):
+            problems.problem_from_dict(d)
