@@ -75,23 +75,6 @@ def _run_once(system, args, seed, p, reference=None):
     return result, traj
 
 
-def _deep_reference(system, budget: float) -> dict[str, np.ndarray] | None:
-    """Reference solution by a long randomized run.
-
-    Randomized firing keeps contracting at gamma=1, whereas a synchronous
-    sweep stalls on an orthogonal rotation once the ramp ends, so a
-    high-precision reference must come from a randomized schedule.  The seed
-    is fixed so reruns produce identical references.
-    """
-    steps = max(2.0 * budget, 4000.0)
-    schedule = engine.ScheduleConfig(mode="bernoulli", p=0.5,
-                                     seed=987654321, homotopy="bp")
-    state, _ = engine.run(system, schedule, max_equiv_iters=steps, tol=1e-10)
-    if system.residual(state.d2) > 1e-6:
-        return None
-    return system.recover_variables(state.d2, state.c2)
-
-
 def _oracle(problem) -> oracle.OracleSolution | None:
     """Vertex enumeration for a standard LP, the inscribed-ball reference for
     a Chebyshev instance, None for the kinds the oracle does not cover."""
@@ -102,19 +85,17 @@ def _oracle(problem) -> oracle.OracleSolution | None:
     return None
 
 
-def _reference_for(problem, system, args) -> dict[str, np.ndarray] | None:
+def _reference_for(problem) -> dict[str, np.ndarray] | None:
     """The planted solution of a basis-pursuit instance; else the oracle's
-    answer where it covers the kind, else a deep solve (see README)."""
+    optimum where it covers the kind and can enumerate it; else None."""
     if isinstance(problem, problems.BasisPursuitInstance):
         return {"x": problem.x_true}
     try:
         sol = _oracle(problem)
     except ValueError:  # the oracle refuses instances too large to enumerate
-        return _deep_reference(system, 2 * args.max_equiv_iters)
-    if sol is None:
         return None
-    if sol.status not in ("optimal", "degenerate"):
-        return _deep_reference(system, 2 * args.max_equiv_iters)
+    if sol is None or sol.status not in ("optimal", "degenerate"):
+        return None
     if isinstance(problem, formulation.StandardLP):
         return {"x1": sol.x_star}
     N = problem.A.shape[1]   # x_star = [x_c, r] of the inscribed ball
@@ -133,9 +114,9 @@ def cmd_solve(args) -> int:
     try:
         problem = problems.load_problem(args.problem)
         system = build_system(encode(problem))
-    except (ValueError, ReductionSingularError) as exc:
+    except (OSError, ValueError, ReductionSingularError) as exc:
         return _invalid(args.problem, exc)
-    reference = _reference_for(problem, system, args) if args.with_reference else None
+    reference = _reference_for(problem) if args.with_reference else None
     result, traj = _run_once(system, args, args.seed, args.p, reference)
     os.makedirs(args.out, exist_ok=True)
     traj.to_csv(os.path.join(args.out, "trajectory.csv"))
@@ -193,7 +174,7 @@ def cmd_experiment(args) -> int:
         trial_seed = args.seed + t
         inst = _gen_instance(args, trial_seed)
         system = build_system(encode(inst))
-        reference = _reference_for(inst, system, args)
+        reference = _reference_for(inst)
         for label, p in groups:
             result, traj = _run_once(system, args, trial_seed, p, reference)
             runs[label].append((result["converged"], result["residual"],
@@ -233,9 +214,13 @@ def cmd_experiment(args) -> int:
 def cmd_oracle(args) -> int:
     try:
         problem = problems.load_problem(args.problem)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _invalid(args.problem, exc)
-    sol = _oracle(problem)
+    try:
+        sol = _oracle(problem)
+    except ValueError as exc:  # too large to enumerate
+        print(f"oracle cannot solve {args.problem}: {exc}", file=sys.stderr)
+        return 2
     if sol is None:
         print("oracle supports standard_lp and chebyshev problem kinds",
               file=sys.stderr)

@@ -1,17 +1,18 @@
 """Brute-force LP reference solver for small instances.
 
-Enumerates candidate vertices of the feasible polyhedron (every N-subset of
-active constraints), so its failure modes are independent of the fixed-point
-machinery it is used to check.  Intended for N up to ~8 variables and a few
-hundred thousand candidate subsets; a guard refuses anything larger.
+One enumeration of every N-subset of rows decides every status, so its
+failure modes are independent of the fixed-point machinery it is used to
+check.  A subset's solution that satisfies all rows is a vertex.  Once one
+exists, A has rank N and, by Farkas' lemma, the LP is bounded exactly when
+some basis S has multipliers y = -A_S'^-1 c >= 0.  Meant for N up to ~8 and
+a few hundred thousand subsets; larger instances raise ValueError.
 
-Subsets are taken in combinations order, _BLOCK at a time, and each block's
-linear algebra is done in stacked LAPACK calls (slogdet and solve for
-vertices, svd for rays): the same getrf/gesv/gesdd per matrix as one call
-per subset, so the answers are bitwise those of the per-subset loop.  One
-inscribed-ball reference takes about 35 ms at 6x12 and 14 s at 10x20
-(352,716 subsets each for vertices and rays), against 175 ms and 49 s for
-the loop (BLAS pinned to one thread, 2-core VM).
+Subsets are taken in combinations order, _BLOCK at a time, in stacked LAPACK
+calls (slogdet and solve for the vertices and, until a dual-feasible basis
+turns up, for the multipliers): the same getrf/gesv per matrix as one call
+per subset, so the vertices are bitwise the per-subset loop's.  One
+inscribed-ball reference takes about 5.5 ms at 6x12 and 1.4 s at 10x20 (BLAS
+pinned to one thread, 2-core VM).
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ def solve_inequality_form(c: np.ndarray, A_ub: np.ndarray,
     Assumes the feasible set is pointed (true whenever A_ub has full column
     rank on the active sets, e.g. after appending sign constraints), in which
     case a nonempty feasible set contains a vertex and a bounded problem
-    attains its optimum at one.
+    attains its optimum at one.  Multipliers count as non-negative down to
+    -_FEAS_TOL, scaled by max|c| as the primal test is by max|b|.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A_ub, dtype=float)
@@ -63,7 +65,9 @@ def solve_inequality_form(c: np.ndarray, A_ub: np.ndarray,
         )
 
     limit = b + _FEAS_TOL * max(1.0, float(np.abs(b).max()))
+    floor = -_FEAS_TOL * max(1.0, float(np.abs(c).max()))
     found: list[np.ndarray] = []
+    bounded = False
     for rows in _subset_blocks(M, N):
         subs = A[rows]
         # a stacked solve raises if any one matrix is singular; slogdet's
@@ -72,12 +76,21 @@ def solve_inequality_form(c: np.ndarray, A_ub: np.ndarray,
         x = np.linalg.solve(subs[keep], b[rows[keep]][..., None])[..., 0]
         x = x[np.isfinite(x).all(axis=1)]
         found.append(x[~(_stacked_matvec(A, x) > limit).any(axis=1)])
+        if not bounded:
+            # a basis S with multipliers y >= 0 on A_S' y = -c bounds c'x
+            # below.  Bases are the subsets kept above: getrf can miss on
+            # A_S' the zero pivot it meets on A_S (giving huge spurious y),
+            # and the reverse, so the transposes get their own guard too
+            subs_t = subs[keep].transpose(0, 2, 1)
+            basis = np.linalg.slogdet(subs_t)[0] != 0.0
+            y = np.linalg.solve(subs_t[basis], -c[:, None])[..., 0]
+            y = y[np.isfinite(y).all(axis=1)]
+            bounded = bool((y >= floor).all(axis=1).any())
     vertices = np.concatenate(found) if found else np.empty((0, N))
 
     if len(vertices) == 0:
         return OracleSolution(status="infeasible")
-
-    if _has_improving_ray(c, A):
+    if not bounded:
         return OracleSolution(status="unbounded")
 
     objectives = _stacked_dot(np.broadcast_to(c, vertices.shape), vertices)
@@ -111,44 +124,6 @@ def _stacked_matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 def _stacked_dot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Entry i is np.dot(U[i], V[i]), by the same dot routine."""
     return np.matmul(U[:, None, :], V[..., None])[:, 0, 0]
-
-
-def _has_improving_ray(c: np.ndarray, A: np.ndarray) -> bool:
-    """True if some recession direction d (A d <= 0) has c'd < 0.
-
-    Checks the extreme rays of the cone: nullspace directions of every
-    (N-1)-subset of rows, both orientations, plus the full nullspace of A
-    for non-pointed cones.
-    """
-    M, N = A.shape
-    # lineality space: directions with A d = 0
-    _, sv, vt = np.linalg.svd(A)
-    null_mask = np.zeros(N, dtype=bool)
-    null_mask[:len(sv)] = sv < 1e-10
-    null_mask[len(sv):] = True
-    for d in vt[null_mask]:
-        if abs(np.dot(c, d)) > 1e-10:
-            return True
-    if N == 1:
-        for d in (np.array([1.0]), np.array([-1.0])):
-            if np.all(A @ d <= 1e-10) and np.dot(c, d) < -1e-10:
-                return True
-        return False
-    for rows in _subset_blocks(M, N - 1):
-        _, sv, vt = np.linalg.svd(A[rows])
-        # the last row of vt spans the nullspace of a full-rank subset;
-        # rows with a vanishing singular value add to it
-        dirs = np.concatenate([vt[:, -1], vt[:, :-1][sv < 1e-10]])
-        norms = np.sqrt(_stacked_dot(dirs, dirs))
-        keep = ~(norms < 1e-12)
-        dirs = dirs[keep] / norms[keep, None]
-        # -(A d) and -(c'd) are exact, so one product serves both signs
-        Ad = _stacked_matvec(A, dirs)
-        cd = _stacked_dot(np.broadcast_to(c, dirs.shape), dirs)
-        if (((Ad <= 1e-9).all(axis=1) & (cd < -1e-9)).any()
-                or ((-Ad <= 1e-9).all(axis=1) & (-cd < -1e-9)).any()):
-            return True
-    return False
 
 
 def solve_vertex_enum(lp: StandardLP) -> OracleSolution:

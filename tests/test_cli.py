@@ -1,4 +1,3 @@
-import argparse
 import csv
 import importlib
 import importlib.util
@@ -143,8 +142,10 @@ def test_oracle_rejects_basis_pursuit(tmp_path, capsys):
     assert rc == 2
 
 
-# malformed files the constructors, problem_from_dict or reduce refuse
+# malformed files the constructors, problem_from_dict or reduce refuse, and
+# (None) a path with no file
 _INVALID_FILES = {
+    "missing": None,
     "nan": {"kind": "chebyshev", "A": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
             "b": [1.0, float("nan"), 1.0]},
     "unknown-key": {"kind": "standard_lp", "f": [1.0], "A": [[1.0]],
@@ -168,7 +169,8 @@ def test_invalid_problem_file_exits_2(command, name, tmp_path, capsys):
     # invalid input is labelled with exit 2 and one line, never a traceback
     # or an answer; exit 1 stays "NOT converged"
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(_INVALID_FILES[name]))
+    if _INVALID_FILES[name] is not None:
+        path.write_text(json.dumps(_INVALID_FILES[name]))
     rc = cli.main([command, "--problem", str(path),
                    "--out", str(tmp_path / "run")])
     assert rc == 2
@@ -181,12 +183,7 @@ def test_invalid_problem_file_exits_2(command, name, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def test_solve_basis_pursuit_reference_is_the_planted_solution(tmp_path,
-                                                               monkeypatch):
-    def no_deep_solve(system, budget):
-        raise AssertionError("basis pursuit needs no deep reference solve")
-
-    monkeypatch.setattr(cli, "_deep_reference", no_deep_solve)
+def test_solve_basis_pursuit_reference_is_the_planted_solution(tmp_path):
     inst = problems.gen_basis_pursuit(16, 8, 2, seed=1)
     path = tmp_path / "bp.json"
     save_problem(inst, path)
@@ -392,21 +389,34 @@ def test_experiment_aggregates_each_unit_over_trials(tmp_path, monkeypatch):
                 assert float(row[f"{name}_median"]) == np.median(column), (p, u, name)
 
 
-def test_reference_falls_back_above_the_oracle_size_limit(monkeypatch):
+def test_reference_falls_back_above_the_oracle_size_limit():
     # C(25, 13) = 5.2M subsets is past the oracle's enumeration limit and
-    # C(13, 7) = 1,716 is not; the same holds for C(32, 12) and C(4, 2)
-    sentinel = {"deep": np.zeros(1)}
-    monkeypatch.setattr(cli, "_deep_reference", lambda system, budget: sentinel)
-    args = argparse.Namespace(max_equiv_iters=10.0)
+    # C(13, 7) = 1,716 is not; the same holds for C(32, 12) and C(4, 2).
+    # Past the limit there is no reference.
     large = problems.gen_chebyshev(12, 24, seed=0)
-    assert cli._reference_for(large, None, args) is sentinel
-    small = cli._reference_for(problems.gen_chebyshev(6, 12, seed=0), None, args)
-    assert small is not sentinel and set(small) == {"x_c", "r1"}
+    assert cli._reference_for(large) is None
+    small = cli._reference_for(problems.gen_chebyshev(6, 12, seed=0))
+    assert small is not None and set(small) == {"x_c", "r1"}
     rng = np.random.default_rng(0)
     wide = StandardLP(f=-np.ones(12), A=rng.random((20, 12)), b=np.ones(20))
-    assert cli._reference_for(wide, None, args) is sentinel
+    assert cli._reference_for(wide) is None
     lp = StandardLP(f=[-1.0, -2.0], A=[[1.0, 1.0], [2.0, 1.0]], b=[4.0, 6.0])
-    assert cli._reference_for(lp, None, args) is not sentinel
+    assert cli._reference_for(lp) is not None
+
+
+def test_oracle_refuses_an_instance_too_large_to_enumerate(tmp_path, capsys):
+    # a valid file past the enumeration limit: exit 2 and one line, never a
+    # traceback or exit 1, the "NOT converged" code
+    path = tmp_path / "cheb.json"
+    save_problem(problems.gen_chebyshev(12, 24, seed=0), path)
+    rc = cli.main(["oracle", "--problem", str(path),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and str(path) in err[0] and "too large" in err[0]
+    assert not (tmp_path / "run").exists()
 
 
 def test_experiment_has_no_p_flag(tmp_path):

@@ -183,16 +183,13 @@ def _loop_has_improving_ray(c, A):
 
 
 def _assert_stacked_equals_loop(monkeypatch, solve, *args):
-    """Solve with the oracle and with the loop; return the common status."""
-    seen = []
+    """Solve with the oracle and with the loop; return the common status.
 
-    def looped(c, A_ub, b_ub):
-        seen.append((c, A_ub))
-        return _loop_solve_inequality_form(c, A_ub, b_ub)
-
+    The loop decides unboundedness by its own ray search, so a status match
+    also cross-checks the oracle's dual-feasible-basis rule."""
     stacked = solve(*args)
     with monkeypatch.context() as m:
-        m.setattr(oracle, "solve_inequality_form", looped)
+        m.setattr(oracle, "solve_inequality_form", _loop_solve_inequality_form)
         reference = solve(*args)
     assert stacked.status == reference.status
     assert stacked.objective == reference.objective
@@ -200,8 +197,6 @@ def _assert_stacked_equals_loop(monkeypatch, solve, *args):
         assert stacked.x_star is None
     else:
         assert np.array_equal(stacked.x_star, reference.x_star)
-    (c, A_ub), = seen
-    assert oracle._has_improving_ray(c, A_ub) == _loop_has_improving_ray(c, A_ub)
     return stacked.status
 
 
@@ -252,8 +247,8 @@ def test_stacked_oracle_equals_loop_on_integer_lps(monkeypatch, block):
 
 
 def test_stacked_oracle_equals_loop_across_blocks(monkeypatch):
-    # C(16, 8) = 12,870 vertex subsets and C(16, 7) = 11,440 ray subsets,
-    # several blocks each; A >= 0 keeps it bounded, so every block is read
+    # C(16, 8) = 12,870 subsets, several blocks; A >= 0 keeps it bounded, so
+    # the multipliers stop after the first block and the vertices read all
     assert comb(16, 8) > 3 * oracle._BLOCK
     rng = np.random.default_rng(8)
     lp = StandardLP(f=-rng.uniform(0.5, 1.5, size=8),
@@ -263,21 +258,39 @@ def test_stacked_oracle_equals_loop_across_blocks(monkeypatch):
         monkeypatch, oracle.solve_vertex_enum, lp) == "optimal"
 
 
-def test_stacked_ray_search_equals_loop_on_rank_deficient_rows():
-    # zero rows give (N-1)-subsets whose nullspace has more than one
-    # dimension; their small singular values add candidate directions
+def test_stacked_ray_search_equals_loop_on_rank_deficient_rows(monkeypatch):
+    # zero rows give singular bases and (N-1)-subsets whose nullspace has
+    # more than one dimension; the sign rows -I make the origin a vertex
     rng = np.random.default_rng(9)
-    rays = 0
+    statuses = []
     for _ in range(200):
         N = int(rng.integers(2, 5))
         M = int(rng.integers(1, 6))
         A = rng.integers(-1, 2, size=(M, N)).astype(float)
         A[rng.random(M) < 0.3] = 0.0
         c = rng.integers(-1, 2, size=N).astype(float)
-        ray = oracle._has_improving_ray(c, A)
-        assert ray == _loop_has_improving_ray(c, A)
-        rays += ray
-    assert 0 < rays < 200
+        statuses.append(_assert_stacked_equals_loop(
+            monkeypatch, lambda *args: oracle.solve_inequality_form(*args),
+            c, np.vstack([A, -np.eye(N)]), np.append(np.ones(M), np.zeros(N))))
+    assert 0 < statuses.count("unbounded") < 200
+
+
+def test_oracle_enumerates_only_n_subsets(monkeypatch):
+    # one enumeration decides every status, bounded or not
+    ks = []
+    blocks = oracle._subset_blocks
+
+    def recorded(M, k):
+        ks.append(k)
+        return blocks(M, k)
+
+    monkeypatch.setattr(oracle, "_subset_blocks", recorded)
+    bounded = StandardLP(f=[-1.0, -2.0], A=[[1.0, 1.0], [2.0, 1.0]],
+                         b=[4.0, 6.0])
+    unbounded = StandardLP(f=[-1.0, 0.0], A=[[-1.0, 1.0]], b=[1.0])
+    assert oracle.solve_vertex_enum(bounded).status == "optimal"
+    assert oracle.solve_vertex_enum(unbounded).status == "unbounded"
+    assert ks == [2, 2]
 
 
 def test_fewer_rows_than_columns_has_no_vertex():
