@@ -157,13 +157,17 @@ _HEADER = ["equiv_iter", "objective_mean", "objective_median",
            "log10_dist_mean", "log10_dist_median"]
 
 
+def _groups(args) -> list[tuple[str, float]]:
+    """An experiment's (label, firing probability) groups."""
+    if args.mode == "bernoulli":
+        return [("p=" + str(p), p) for p in args.p_list]
+    return [(args.mode, engine.ScheduleConfig.p)]
+
+
 def cmd_experiment(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     units = int(args.max_equiv_iters)
-    if args.mode == "bernoulli":
-        groups = [("p=" + str(p), p) for p in args.p_list]
-    else:
-        groups = [(args.mode, engine.ScheduleConfig.p)]
+    groups = _groups(args)
 
     summary = {"preset": args.preset, "n": args.n, "m": args.m,
                "sparsity": args.sparsity if args.preset == "bp" else None,
@@ -247,6 +251,38 @@ _PRESET_SIZES = {
 }
 
 
+def _refuse_bad_values(args, command: argparse.ArgumentParser) -> None:
+    """Refuse, as a usage error, flag values the run would fail on, before
+    anything is written.
+
+    Builds what the command builds from its flags (the gamma schedule, one
+    ScheduleConfig per firing probability, the first trial's instance) and
+    turns the library's ValueError into command.error; only the rules no
+    library call checks before the run are written here.
+    """
+    try:
+        if not np.isfinite(args.max_equiv_iters):
+            raise ValueError("--max-equiv-iters must be finite")
+        if args.command == "solve":
+            ps = [args.p]
+        else:
+            if args.trials < 1:
+                raise ValueError("--trials must be at least 1")
+            ps = [p for _, p in _groups(args)]
+            if not ps:
+                raise ValueError("--p-list names no firing probability")
+            _gen_instance(args, args.seed)
+        if args.mode == "distributed":
+            if args.workers < 1:   # run_distributed checks it on a built system
+                raise ValueError("--workers must be at least 1")
+            engine.make_gamma(args.homotopy)
+        else:
+            for p in ps:
+                engine.ScheduleConfig(mode=args.mode, p=p, homotopy=args.homotopy)
+    except ValueError as exc:
+        command.error(str(exc))
+
+
 def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
@@ -320,11 +356,17 @@ def build_parser() -> tuple[argparse.ArgumentParser,
 def main(argv=None) -> int:
     parser, commands = build_parser()
     args = parser.parse_args(argv)
+    command = commands[args.command]
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            config = {key.replace("-", "_"): value
-                      for key, value in json.load(fh).items()}
-        command = commands[args.command]
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:   # ValueError: not JSON
+            command.error(f"config file {args.config}: {exc}")
+        if not isinstance(config, dict):
+            command.error(f"config file {args.config}: expected a JSON object "
+                          f"of flag defaults, got {type(config).__name__}")
+        config = {key.replace("-", "_"): value for key, value in config.items()}
         unknown = [key for key in config
                    if key not in vars(args) or key == "command"]
         if unknown:
@@ -343,13 +385,15 @@ def main(argv=None) -> int:
                 command.error(f"config key {action.dest!r}: invalid choice "
                               f"{value!r} (choose from "
                               + ", ".join(map(repr, action.choices)) + ")")
-    if args.command == "solve":
-        return cmd_solve(args)
     if args.command == "oracle":
         return cmd_oracle(args)
-    for key, default in _PRESET_SIZES[args.preset].items():
-        if getattr(args, key) is None:
-            setattr(args, key, default)
+    if args.command == "experiment":
+        for key, default in _PRESET_SIZES[args.preset].items():
+            if getattr(args, key) is None:
+                setattr(args, key, default)
+    _refuse_bad_values(args, command)
+    if args.command == "solve":
+        return cmd_solve(args)
     return cmd_experiment(args)
 
 

@@ -1,13 +1,13 @@
 """Simulated distributed execution over a shared associative array.
 
-The reduced system is laid out the way a distributed key-value store would
-hold it: one read-only column g(k) of G' per coordinate (row k of a K x K
-array), the read-only offset e, and the vectors c2 and d2.  An update on
-coordinate k has three stages:
+The store is the engine's own state: the vectors c2 and d2, keyed by
+coordinate.  Workers read column k of G' and the offset e in place; both are
+read-only arrays of the reduced system.  An update on coordinate k has three
+stages:
 
     lookup     read d_hat = d2(k), c_hat = c2(k)
     compute    delta = eta * (gamma * m_k(d_hat) - c_hat)
-    increment  d2 += g(k) * delta, then c2(k) += delta
+    increment  d2 += G'[:, k] * delta, then c2(k) += delta
 
 W workers take turns issuing lookups into a first-in, first-out queue of
 lookups in flight.  Once W lookups are in flight the oldest is computed and
@@ -38,26 +38,8 @@ from .engine import SolverState, Trajectory, iterate, make_gamma
 from .stationarity import StationaritySystem
 
 
-@dataclass
-class AssocArray:
-    """Keyed view of a reduced system: columns, offset, and state vectors.
-
-    Row k of the read-only array `g` is column k of G'.
-    """
-
-    g: np.ndarray
-    e: np.ndarray
-    c2: np.ndarray
-    d2: np.ndarray
-
-    @property
-    def n_coords(self) -> int:
-        return len(self.c2)
-
-    def increment(self, k: int, delta: float) -> None:
-        """Add delta to c2(k) and delta * g(k) to d2."""
-        self.d2 += self.g[k] * delta
-        self.c2[k] += delta
+class AssocArray(SolverState):
+    """The store: the engine's state vectors c2 and d2, keyed by coordinate."""
 
     def snapshot_c2(self) -> np.ndarray:
         return self.c2.copy()
@@ -67,24 +49,22 @@ class AssocArray:
 
 
 def init_array(system: StationaritySystem) -> AssocArray:
-    """Cold-start layout: c2 at 0, d2 at e, read-only rows g(k) = G'[:, k]."""
-    g = system.Gprime.T.copy()
-    g.setflags(write=False)
-    e = system.e.copy()
-    e.setflags(write=False)
-    return AssocArray(g=g, e=e, c2=np.zeros(system.n_nonlinear), d2=e.copy())
+    """Cold start: c2 at 0, d2 at e."""
+    return AssocArray(c2=np.zeros(system.n_nonlinear), d2=system.e.copy())
 
 
 def worker_update(array: AssocArray, system: StationaritySystem, k: int,
                   d_hat: float, c_hat: float, gamma: float = 1.0,
                   eta: float = 1.0) -> float:
-    """Compute from the looked-up pair (d_hat, c_hat), then increment.
+    """Compute from the looked-up pair (d_hat, c_hat), then increment the
+    store with column k of G', as engine.incremental_step does.
 
     Returns delta; a delta of zero writes nothing.
     """
     delta = eta * (system.m_scalar(k, d_hat, gamma) - c_hat)
     if delta != 0.0:
-        array.increment(k, delta)
+        array.d2 += system.Gprime[:, k] * delta
+        array.c2[k] += delta
     return delta
 
 
@@ -126,7 +106,6 @@ def run_distributed(system: StationaritySystem, workers: int = 1,
     gamma = make_gamma(homotopy)
     eta = 1.0 / (1.0 + 2.0 * (workers - 1) / math.sqrt(K))
     array = init_array(system)
-    state = SolverState(c2=array.c2, d2=array.d2)   # shares the store's vectors
     rngs = [np.random.default_rng(seed if workers == 1 else [seed, i])
             for i in range(workers)]
     blocks: list[np.ndarray] = []      # coordinates of every window issued
@@ -147,19 +126,19 @@ def run_distributed(system: StationaritySystem, workers: int = 1,
     issue = lookups()
     in_flight: deque = deque()
 
-    def advance(state: SolverState, stop: int) -> None:
-        for _ in range(stop - state.fired_updates):
+    def advance(array: AssocArray, stop: int) -> None:
+        for _ in range(stop - array.fired_updates):
             while len(in_flight) < workers:
                 in_flight.append(next(issue))
             worker_update(array, system, *in_flight.popleft(), eta)
-        state.fired_updates = stop
+        array.fired_updates = stop
 
-    traj = iterate(system, state, advance, max_equiv_iters, tol, reference)
+    traj = iterate(system, array, advance, max_equiv_iters, tol, reference)
     reports = []
-    if state.fired_updates:   # the applied updates: lookups 0, 1, ...
-        drawn = np.concatenate(blocks)[:state.fired_updates]
+    if array.fired_updates:   # the applied updates: lookups 0, 1, ...
+        drawn = np.concatenate(blocks)[:array.fired_updates]
         for i in range(workers):
             hist = np.bincount(drawn[i::workers], minlength=K)
             reports.append(WorkerReport(i, int(hist.sum()), hist.tolist()))
     return (array.snapshot_d2(), array.snapshot_c2(), traj, reports,
-            state.converged)
+            array.converged)

@@ -51,10 +51,10 @@ def constant_gamma(k: int) -> float:
     return 1.0
 
 
-def power_ramp(k: int, base: float = 0.95, cutoff: int = 10) -> float:
-    """gamma(k) = 1 - base**(k*k) for k <= cutoff, then exactly 1."""
-    if k <= cutoff:
-        return 1.0 - base ** (k * k)
+def power_ramp(k: int) -> float:
+    """gamma(k) = 1 - 0.95**(k*k) for k <= 10, then exactly 1."""
+    if k <= 10:
+        return 1.0 - 0.95 ** (k * k)
     return 1.0
 
 

@@ -3,16 +3,17 @@
 One enumeration of every N-subset of rows decides every status, so its
 failure modes are independent of the fixed-point machinery it is used to
 check.  A subset's solution that satisfies all rows is a vertex.  Once one
-exists, A has rank N and, by Farkas' lemma, the LP is bounded exactly when
-some basis S has multipliers y = -A_S'^-1 c >= 0.  Meant for N up to ~8 and
-a few hundred thousand subsets; larger instances raise ValueError.
+exists, A has rank N and the LP is bounded exactly when some basis S of an
+optimal vertex has multipliers y = -A_S'^-1 c >= 0 (Farkas' lemma), so the
+multipliers are solved after the enumeration, on the bases of the vertices
+tied at the minimum only.  Meant for N up to ~8 and a few hundred thousand
+subsets; larger instances raise ValueError.
 
 Subsets are taken in combinations order, _BLOCK at a time, in stacked LAPACK
-calls (slogdet and solve for the vertices and, until a dual-feasible basis
-turns up, for the multipliers): the same getrf/gesv per matrix as one call
-per subset, so the vertices are bitwise the per-subset loop's.  One
-inscribed-ball reference takes about 5.5 ms at 6x12 and 1.4 s at 10x20 (BLAS
-pinned to one thread, 2-core VM).
+calls: the same getrf/gesv per matrix as one call per subset, so the
+vertices are bitwise the per-subset loop's.  One inscribed-ball reference
+takes about 7 ms at 6x12 and 1.6-2.2 s at 10x20 (BLAS pinned to one thread,
+shared 2-core VM).
 """
 
 from __future__ import annotations
@@ -67,36 +68,35 @@ def solve_inequality_form(c: np.ndarray, A_ub: np.ndarray,
     limit = b + _FEAS_TOL * max(1.0, float(np.abs(b).max()))
     floor = -_FEAS_TOL * max(1.0, float(np.abs(c).max()))
     found: list[np.ndarray] = []
-    bounded = False
+    bases: list[np.ndarray] = []       # the row subset of each vertex found
     for rows in _subset_blocks(M, N):
         subs = A[rows]
         # a stacked solve raises if any one matrix is singular; slogdet's
         # getrf gives sign 0 on exactly the zero pivots that make gesv raise
         keep = np.linalg.slogdet(subs)[0] != 0.0
         x = np.linalg.solve(subs[keep], b[rows[keep]][..., None])[..., 0]
-        x = x[np.isfinite(x).all(axis=1)]
-        found.append(x[~(_stacked_matvec(A, x) > limit).any(axis=1)])
-        if not bounded:
-            # a basis S with multipliers y >= 0 on A_S' y = -c bounds c'x
-            # below.  Bases are the subsets kept above: getrf can miss on
-            # A_S' the zero pivot it meets on A_S (giving huge spurious y),
-            # and the reverse, so the transposes get their own guard too
-            subs_t = subs[keep].transpose(0, 2, 1)
-            basis = np.linalg.slogdet(subs_t)[0] != 0.0
-            y = np.linalg.solve(subs_t[basis], -c[:, None])[..., 0]
-            y = y[np.isfinite(y).all(axis=1)]
-            bounded = bool((y >= floor).all(axis=1).any())
+        ok = np.isfinite(x).all(axis=1)
+        ok[ok] = ~(_stacked_matvec(A, x[ok]) > limit).any(axis=1)
+        found.append(x[ok])
+        bases.append(rows[keep][ok])
     vertices = np.concatenate(found) if found else np.empty((0, N))
 
     if len(vertices) == 0:
         return OracleSolution(status="infeasible")
-    if not bounded:
-        return OracleSolution(status="unbounded")
 
     objectives = _stacked_dot(np.broadcast_to(c, vertices.shape), vertices)
     best = int(np.argmin(objectives))     # the first of equal minima
     best_obj, best_x = float(objectives[best]), vertices[best].copy()
     near = np.flatnonzero(np.abs(objectives - best_obj) <= _TIE_TOL)
+    # bounded iff some basis at the optimum has y >= 0 on A_S' y = -c; getrf
+    # can miss on A_S' the zero pivot it meets on A_S (giving huge spurious
+    # y), and the reverse, so the transposes get their own guard
+    subs_t = A[np.concatenate(bases)[near]].transpose(0, 2, 1)
+    basis = np.linalg.slogdet(subs_t)[0] != 0.0
+    y = np.linalg.solve(subs_t[basis], -c[:, None])[..., 0]
+    y = y[np.isfinite(y).all(axis=1)]
+    if not (y >= floor).all(axis=1).any():
+        return OracleSolution(status="unbounded")
     tie = any(np.linalg.norm(vertices[i] - best_x) > _POINT_TOL for i in near)
     if tie:
         return OracleSolution(status="degenerate", x_star=best_x, objective=best_obj)

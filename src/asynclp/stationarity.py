@@ -388,6 +388,8 @@ def reduce(G: np.ndarray, problem: AsyncFormProblem) -> StationaritySystem:
     Gprime = G21 @ X
     Gprime += G22
     e = G21 @ Wh
+    Gprime.setflags(write=False)   # workers and steps read G' and e in place
+    e.setflags(write=False)
 
     # recovery d1 = D c2 + d0 (module docstring); on linear-cost coordinates
     # z = d1 - rho on either side, so the linear objective is affine in c2

@@ -220,17 +220,6 @@ def test_config_file_merge_and_flag_precedence(lp_file, tmp_path):
     assert sol2["equivalent_iterations"] == pytest.approx(4.0)
 
 
-def test_config_unknown_key_is_an_error(lp_file, tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"max_iters": 3}))
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["solve", "--problem", str(lp_file), "--config", str(config),
-                  "--out", str(tmp_path / "run")])
-    assert exc.value.code == 2
-    assert "max_iters" in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
-
-
 @pytest.mark.parametrize("command", ["solve", "experiment"])
 def test_config_value_outside_choices_is_an_error(command, lp_file, tmp_path,
                                                   capsys):
@@ -244,6 +233,55 @@ def test_config_value_outside_choices_is_an_error(command, lp_file, tmp_path,
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "'mode'" in err and "bogus" in err and "randomk" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"max_iters": 3}', "max_iters"),
+    (None, "config file"),
+    ("{not json", "config file"),
+    ("[1, 2]", "config file"),
+], ids=["unknown-key", "missing", "not-json", "json-list"])
+def test_broken_config_is_an_error(content, message, lp_file, tmp_path,
+                                   capsys):
+    config = tmp_path / "config.json"
+    if content is not None:
+        config.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--problem", str(lp_file), "--config", str(config),
+                  "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+_EXPERIMENT = ["experiment", "--preset", "chebyshev", "--n", "3", "--m", "6",
+               "--trials", "1", "--max-equiv-iters", "5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--p", "2"],
+    ["solve", "--mode", "distributed", "--workers", "0"],
+    ["solve", "--homotopy", "bogus"],
+    ["solve", "--homotopy", "ramp:1.5:10"],
+    ["solve", "--max-equiv-iters", "nan"],
+    ["solve", "--max-equiv-iters", "inf"],
+    _EXPERIMENT + ["--p-list", "0"],
+    _EXPERIMENT + ["--n", "0"],
+    _EXPERIMENT + ["--trials", "0"],
+    _EXPERIMENT + ["--p-list", ""],
+    _EXPERIMENT + ["--mode", "distributed", "--workers", "0"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_bad_flag_values_are_usage_errors(argv, lp_file, tmp_path, capsys):
+    # refused before anything is written, as exit 2 (exit 1 means "NOT
+    # converged"); an uncaught exception would escape pytest.raises
+    if argv[0] == "solve":
+        argv = argv[:1] + ["--problem", str(lp_file)] + argv[1:]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
 

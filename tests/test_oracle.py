@@ -247,8 +247,8 @@ def test_stacked_oracle_equals_loop_on_integer_lps(monkeypatch, block):
 
 
 def test_stacked_oracle_equals_loop_across_blocks(monkeypatch):
-    # C(16, 8) = 12,870 subsets, several blocks; A >= 0 keeps it bounded, so
-    # the multipliers stop after the first block and the vertices read all
+    # C(16, 8) = 12,870 subsets, several blocks; A >= 0 keeps it bounded, and
+    # the multipliers are solved after the last block, at the optimum only
     assert comb(16, 8) > 3 * oracle._BLOCK
     rng = np.random.default_rng(8)
     lp = StandardLP(f=-rng.uniform(0.5, 1.5, size=8),
@@ -273,6 +273,26 @@ def test_stacked_ray_search_equals_loop_on_rank_deficient_rows(monkeypatch):
             monkeypatch, lambda *args: oracle.solve_inequality_form(*args),
             c, np.vstack([A, -np.eye(N)]), np.append(np.ones(M), np.zeros(N))))
     assert 0 < statuses.count("unbounded") < 200
+
+
+def test_multipliers_are_solved_only_at_the_optimum(monkeypatch):
+    # the vertex solves take stacked right-hand sides (n, N, 1), the
+    # multiplier solve the one column -c; C(13, 7) = 1,716 bases per 6x12
+    # reference, of which only the optimal vertex's need multipliers
+    batches = []
+    solve = np.linalg.solve
+
+    def recorded(a, b):
+        if b.ndim == 2:
+            batches.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    for seed in range(5):
+        inst = gen_chebyshev(6, 12, seed=seed)
+        assert oracle.solve_chebyshev_reference(inst.A, inst.b).status == "optimal"
+    assert len(batches) == 5
+    assert max(batches) <= 4
 
 
 def test_oracle_enumerates_only_n_subsets(monkeypatch):
