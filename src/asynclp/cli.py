@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -164,6 +165,60 @@ def _groups(args) -> list[tuple[str, float]]:
     return [(args.mode, engine.ScheduleConfig.p)]
 
 
+# bytes of trials one engine.run_trials call may hold, by engine.trial_bytes;
+# a trial larger than this runs alone.  Timed on batteries of 4 groups:
+# at 512x200 one trial (15-17 MB) runs as fast alone as two stacked, while
+# at K = 13-64 the time per trial-group keeps falling up to 100-300 rows.
+_CHUNK_BYTES = 24 << 20
+
+
+def _battery(args, groups):
+    """(label, converged, final residual, trajectory) of every trial and
+    group, in trial order.
+
+    Trial t draws seed seed + t for its instance and its schedule, and is set
+    up once for all groups.  `sync` and `bernoulli` batteries run as stacked
+    chunks of trials through engine.run_trials, bitwise the per-trial runs,
+    each chunk built when the one before it is done; the other modes run
+    each trial alone.
+    """
+    def trials():
+        for t in range(args.trials):
+            inst = _gen_instance(args, args.seed + t)
+            yield args.seed + t, build_system(encode(inst)), _reference_for(inst)
+
+    if args.mode not in ("sync", "bernoulli"):
+        for seed, system, reference in trials():
+            for label, p in groups:
+                result, traj = _run_once(system, args, seed, p, reference)
+                yield label, result["converged"], result["residual"], traj
+        return
+    # one gamma schedule object for every trial, so run_trials tabulates it once
+    gamma = engine.make_gamma(args.homotopy)
+    chunk = []
+    for t, trial in enumerate(trials(), 1):
+        chunk.append(trial)
+        size = engine.trial_bytes(trial[1], len(groups), args.max_equiv_iters)
+        if t < args.trials and (len(chunk) + 1) * size <= _CHUNK_BYTES:
+            continue
+        stack = [(system, label, reference,
+                  engine.ScheduleConfig(args.mode, p, seed, gamma))
+                 for seed, system, reference in chunk for label, p in groups]
+        systems, labels, references, schedules = map(list, zip(*stack))
+        results = engine.run_trials(systems, schedules, args.max_equiv_iters,
+                                    args.tol, references)
+        for system, label, (state, traj) in zip(systems, labels, results):
+            yield label, state.converged, system.residual(state.d2), traj
+        chunk = []
+
+
+def _csv_lines(table: np.ndarray) -> list[str]:
+    """The CSV lines `u,<row u>` of a grid table."""
+    body = io.StringIO()
+    csv.writer(body).writerows([u] + row for u, row in enumerate(table.tolist()))
+    return body.getvalue().splitlines(keepends=True)
+
+
 def cmd_experiment(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     units = int(args.max_equiv_iters)
@@ -174,17 +229,10 @@ def cmd_experiment(args) -> int:
                "trials": args.trials, "mode": args.mode,
                "homotopy": args.homotopy, "groups": {}}
     runs = {label: [] for label, _ in groups}
-    for t in range(args.trials):
-        trial_seed = args.seed + t
-        inst = _gen_instance(args, trial_seed)
-        system = build_system(encode(inst))
-        reference = _reference_for(inst)
-        for label, p in groups:
-            result, traj = _run_once(system, args, trial_seed, p, reference)
-            runs[label].append((result["converged"], result["residual"],
-                                _unit_grid(traj, units)))
+    for label, converged, residual, traj in _battery(args, groups):
+        runs[label].append((converged, residual, _unit_grid(traj, units)))
 
-    combined_rows = []
+    combined = []
     for label, _ in groups:
         flags, residuals, grids = zip(*runs[label])
         # (column, unit, trial): each unit's trials lie contiguous on the last
@@ -193,11 +241,13 @@ def cmd_experiment(args) -> int:
         stacked = np.stack(grids, axis=-1)
         table = np.stack([stacked.mean(axis=-1), np.median(stacked, axis=-1)],
                          axis=1).reshape(6, units + 1).T
-        rows = [[u] + row for u, row in enumerate(table.tolist())]
+        lines = _csv_lines(table)
         with open(os.path.join(args.out, f"experiment_{label.replace('=', '')}.csv"),
                   "w", newline="") as fh:
-            csv.writer(fh).writerows([_HEADER] + rows)
-        combined_rows.extend([label] + row for row in rows)
+            csv.writer(fh).writerow(_HEADER)
+            fh.writelines(lines)
+        # the combined file repeats these lines, each behind its group label
+        combined += [f"{label},{line}" for line in lines]
         converged = sum(flags)
         median_final = float(np.median(residuals))
         summary["groups"][label] = {"trials": args.trials, "converged": converged,
@@ -207,7 +257,8 @@ def cmd_experiment(args) -> int:
 
     with open(os.path.join(args.out, "experiment_combined.csv"), "w",
               newline="") as fh:
-        csv.writer(fh).writerows([["group"] + _HEADER] + combined_rows)
+        csv.writer(fh).writerow(["group"] + _HEADER)
+        fh.writelines(combined)
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
     print(f"wrote per-group CSVs, experiment_combined.csv and summary.json "
@@ -256,9 +307,9 @@ def _refuse_bad_values(args, command: argparse.ArgumentParser) -> None:
     anything is written.
 
     Builds what the command builds from its flags (the gamma schedule, one
-    ScheduleConfig per firing probability, the first trial's instance) and
-    turns the library's ValueError into command.error; only the rules no
-    library call checks before the run are written here.
+    ScheduleConfig per firing probability, the first trial's instance and
+    its encoding) and turns the library's ValueError into command.error;
+    only the rules no library call checks before the run are written here.
     """
     try:
         if not np.isfinite(args.max_equiv_iters):
@@ -268,10 +319,13 @@ def _refuse_bad_values(args, command: argparse.ArgumentParser) -> None:
         else:
             if args.trials < 1:
                 raise ValueError("--trials must be at least 1")
+            # the grid runs over whole units 0..int(budget)
+            if args.max_equiv_iters < 1:
+                raise ValueError("--max-equiv-iters must be at least 1")
             ps = [p for _, p in _groups(args)]
             if not ps:
                 raise ValueError("--p-list names no firing probability")
-            _gen_instance(args, args.seed)
+            encode(_gen_instance(args, args.seed))
         if args.mode == "distributed":
             if args.workers < 1:   # run_distributed checks it on a built system
                 raise ValueError("--workers must be at least 1")

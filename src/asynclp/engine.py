@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .stationarity import StationaritySystem
+from .stationarity import StationaritySystem, norm
 
 _MODES = ("sync", "sweep", "bernoulli", "randomk")
 
@@ -227,20 +227,27 @@ class Trajectory:
     def record(self, system: StationaritySystem, equiv: float, d2: np.ndarray,
                c2: np.ndarray,
                reference: tuple[np.ndarray, np.ndarray] | None = None) -> float:
-        """Append the row of state (d2, c2) at `equiv`; returns its residual.
+        """Append the row of state (d2, c2) at `equiv`; returns its residual."""
+        row = self.measure(system, d2, c2, reference)
+        self.append(equiv, *row)
+        return row[1]
+
+    @staticmethod
+    def measure(system: StationaritySystem, d2: np.ndarray, c2: np.ndarray,
+                reference: tuple[np.ndarray, np.ndarray] | None = None):
+        """(objective, residual, dist_to_ref) of state (d2, c2), or of each row
+        of a stack of states of `system`.
 
         `reference` is the (coordinates, values) pair of reference_coordinates;
-        dist_to_ref is the 2-norm of the variables' distance to it, or NaN
+        dist_to_ref is the 2-norm of the variables' distance to it, or one NaN
         without one.
         """
-        res = system.residual(d2)
-        dist = float("nan")
-        if reference is not None:
-            idx, values = reference
-            diff = system.variable_vector(d2, c2)[idx] - values
-            dist = math.sqrt(float(diff @ diff))
-        self.append(equiv, system.objective(d2, c2), res, dist)
-        return res
+        objective, residual = system.objective(d2, c2), system.residual(d2)
+        if reference is None:
+            return objective, residual, math.nan
+        idx, values = reference
+        return objective, residual, norm(system.variable_vector(d2, c2)[..., idx]
+                                         - values)
 
     def __len__(self) -> int:
         return len(self.equiv_iter)
@@ -333,6 +340,196 @@ def run(system: StationaritySystem, schedule: ScheduleConfig,
 
     return state, iterate(system, state, advance, max_equiv_iters, tol,
                           reference)
+
+
+# ---------------------------------------------------------------------------
+# stacked trials
+
+# ticks between two monitoring passes of run_trials: each trial's draws are
+# taken this many ticks at a time, and a trial that reaches tol may tick up
+# to this far past it before it is stopped
+_WINDOW = 64
+
+
+def trial_bytes(system: StationaritySystem, n_schedules: int,
+                max_equiv_iters: float) -> int:
+    """An upper estimate of the bytes one trial holds in run_trials, run
+    under n_schedules schedules: its operators G, G' and D; for each
+    schedule, a window of draws and row snapshots (about 64 bytes a
+    coordinate a tick) and a trajectory of one row a unit (about 256 bytes
+    a row while it is assembled).  With no trial converging, measured peaks
+    were 0.45-0.8 of it."""
+    operators = system.G.nbytes + system.Gprime.nbytes + system.D.nbytes
+    rows = int(max_equiv_iters) + 1
+    return operators + n_schedules * (_WINDOW * system.n_nonlinear * 64
+                                      + rows * 256)
+
+
+def _check_one_shape(systems: list[StationaritySystem],
+                     schedules: list[ScheduleConfig]) -> None:
+    if not systems or len(systems) != len(schedules):
+        raise ValueError("run_trials needs one schedule per system, and at "
+                         "least one trial")
+    modes = {s.mode for s in schedules}
+    if len(modes) != 1 or not modes <= {"sync", "bernoulli"}:
+        raise ValueError(f"run_trials runs one mode, sync or bernoulli, "
+                         f"got {sorted(modes)}")
+    s0 = systems[0]
+    for s in systems[1:]:
+        if any(not np.array_equal(getattr(s, name), getattr(s0, name))
+               for name in ("affine_idx", "nonlinear_idx", "nl_sign",
+                            "nl_is_l1", "aff_sign", "s")):
+            raise ValueError("run_trials needs systems of one shape: the same "
+                             "partitions and the same kind and side on each "
+                             "coordinate")
+
+
+def run_trials(systems: list[StationaritySystem],
+               schedules: list[ScheduleConfig],
+               max_equiv_iters: float = 1000.0, tol: float = 1e-8,
+               references: list | None = None,
+               ) -> list[tuple[SolverState, Trajectory]]:
+    """Run trials of one shape, all `sync` or all `bernoulli`, as one iteration.
+
+    Trial i is run(systems[i], schedules[i], max_equiv_iters, tol,
+    references[i]) from the cold start, and its (state, trajectory) is
+    bitwise that run's.  The states are one (T, K) array.  Trials that share
+    a system and a reference (the same objects) sit together in it and share
+    one product with its G' per tick, bitwise the 2-D one; no operator is
+    copied.  All
+    trials tick in lockstep, a window of _WINDOW ticks at a time.  Each trial
+    draws its window from its own default_rng(seed) in one block (numpy
+    gives the same stream as one draw per tick), so its fired counts, unit
+    ends, gamma and budget end are known before the window runs.  A row is
+    a snapshot at a unit end, measured with the window's other rows of its
+    system after it (Trajectory.measure); a trial that reached tol has
+    ticked on to the window's end, and its later rows and ticks are
+    dropped.  Trials that stopped leave the stack between windows.
+    """
+    _check_one_shape(systems, schedules)
+    T, K = len(systems), systems[0].n_nonlinear
+    budget = math.ceil(max_equiv_iters * K - 1e-9)
+    references = references or [None] * T
+    bernoulli = schedules[0].mode == "bernoulli"
+    e = np.stack([s.e for s in systems])
+
+    # trials with the same system and reference are measured and stepped
+    # together, as the trials of their first one
+    seen = {}
+    owner = np.array([seen.setdefault((id(s), id(r)), i)
+                      for i, (s, r) in enumerate(zip(systems, references))])
+    refs = [reference_coordinates(s, r) for s, r in zip(systems, references)]
+
+    def blocks(trial):   # (first trial, rows) of each run of one owner
+        own = owner[trial]
+        cuts = [0, *(np.flatnonzero(np.diff(own)) + 1), len(own)]
+        return [(own[a], slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+
+    # gamma by unit, one table per distinct schedule, grown as units are reached
+    gammas = {}
+    gamma_row = np.array([gammas.setdefault(s.gamma, len(gammas))
+                          for s in schedules])
+    table = np.empty((len(gammas), 0))
+
+    def gamma_at(g, units):   # gamma(units) of the trials on table rows g
+        nonlocal table
+        if units.max() > table.shape[1]:
+            n = max(int(units.max()), 2 * table.shape[1])
+            table = np.array([[fn(u) for u in range(1, n + 1)] for fn in gammas])
+        return table[g, units - 1]
+
+    # the trials still ticking, by position in the stack, each owner's together
+    start = np.argsort(owner, kind="stable")
+    live = {"trial": start, "d2": e[start], "c2": np.zeros((T, K)),
+            "fired": np.zeros(T, dtype=np.int64), "g": gamma_row[start],
+            "p": np.array([s.p for s in schedules])[start], "e": e[start]}
+    rngs = [np.random.default_rng(s.seed) for s in schedules]
+    final_d2, final_c2 = e.copy(), np.zeros((T, K))
+    final_fired = np.zeros(T, dtype=np.int64)
+    converged = np.zeros(T, dtype=bool)
+    pending = [(live["trial"], live["fired"], live["d2"], live["c2"])]  # row 0
+    kept = []   # (trial, fired, objective, residual, dist) of the rows kept
+
+    def leave(gone):   # copies the states, so only when a trial stops
+        nonlocal live
+        if gone.any():
+            live = {name: a[~gone] for name, a in live.items()}
+
+    if budget <= 0:   # every trial stops at its first row
+        leave(np.ones(T, dtype=bool))
+    while True:
+        if pending:   # a trial stops at its first row at tol
+            # each owner's rows together, each trial's in order
+            trial, fired, d2, c2 = (np.concatenate(a) for a in zip(*pending))
+            order = np.argsort(owner[trial], kind="stable")
+            trial, fired, d2, c2 = trial[order], fired[order], d2[order], c2[order]
+            pending = []
+            objective, residual, dist = np.empty((3, len(trial)))
+            for i, r in blocks(trial):
+                objective[r], residual[r], dist[r] = Trajectory.measure(
+                    systems[i], d2[r], c2[r], refs[i])
+            at_tol = np.flatnonzero(residual <= tol)
+            first = np.full(T, len(trial))
+            np.minimum.at(first, trial[at_tol], at_tol)
+            keep = np.arange(len(trial)) <= first[trial]
+            kept.append((trial[keep], fired[keep], objective[keep],
+                         residual[keep], dist[keep]))
+            done = np.flatnonzero(first < len(trial))
+            at = first[done]
+            final_d2[done], final_c2[done] = d2[at], c2[at]
+            final_fired[done] = fired[at]
+            converged[done] = True
+            leave(np.isin(live["trial"], done))
+        if not len(live["trial"]):
+            break
+
+        # the window's fired counts before and after each tick, and from them
+        # each trial's unit ends, budget end and gamma
+        trial, fired = live["trial"], live["fired"]
+        if bernoulli:
+            fires = np.stack([rngs[t].random((_WINDOW, K)) < p
+                              for t, p in zip(trial, live["p"])])
+            after = fired[:, None] + np.cumsum(np.count_nonzero(fires, axis=2),
+                                               axis=1)
+        else:
+            after = fired[:, None] + K * np.arange(1, _WINDOW + 1)
+        before = np.concatenate([fired[:, None], after[:, :-1]], axis=1)
+        ticking = before < budget
+        row = ticking & (after // K > before // K)
+        out = ticking & (after >= budget)
+        gamma = gamma_at(live["g"][:, None], before // K + 1)
+        any_row, any_out = row.any(axis=0).tolist(), out.any(axis=0).tolist()
+
+        d2, c2 = live["d2"], live["c2"]
+        steps = [(systems[i].Gprime, r) for i, r in blocks(trial)]
+        for w in range(ticking.sum(axis=1).max()):
+            new_c2 = systems[0].m(d2, gamma[:, w, None])
+            c2 = np.where(fires[:, w], new_c2, c2) if bernoulli else new_c2
+            d2 = np.empty_like(c2)
+            for Gprime, r in steps:
+                d2[r] = np.matmul(Gprime, c2[r, :, None])[..., 0]
+            d2 += live["e"]
+            if any_row[w]:
+                r = row[:, w]
+                pending.append((trial[r], after[r, w], d2[r], c2[r]))
+            if any_out[w]:
+                o = out[:, w]
+                final_d2[trial[o]], final_c2[trial[o]] = d2[o], c2[o]
+                final_fired[trial[o]] = after[o, w]
+        live.update(d2=d2, c2=c2, fired=after[:, -1])
+        leave(out.any(axis=1))
+
+    trial, fired, objective, residual, dist = (np.concatenate(a)
+                                               for a in zip(*kept))
+    order = np.argsort(trial, kind="stable")
+    bounds = np.cumsum(np.bincount(trial, minlength=T))[:-1]
+    columns = [np.split(a[order], bounds)
+               for a in (fired / K, objective, residual, dist)]
+    return [(SolverState(c2=final_c2[t].copy(), d2=final_d2[t].copy(),
+                         fired_updates=int(final_fired[t]),
+                         converged=bool(converged[t])),
+             Trajectory(*(col[t].tolist() for col in columns)))
+            for t in range(T)]
 
 
 # ---------------------------------------------------------------------------

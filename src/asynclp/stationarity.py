@@ -39,6 +39,7 @@ so recovery and the objective are maps precomputed once by reduce.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +162,17 @@ def apply_nonlinearity(kind: Kind, role: Role, d, rho=0.0, gamma: float = 1.0):
     return sign * (gamma * _BASE[kind](d))
 
 
+def norm(v: np.ndarray):
+    """||v||_2 of a vector (a float), or of each row of a stack of vectors.
+
+    One dot product per row, the one np.linalg.norm takes of a vector.
+    """
+    if v.ndim == 1:
+        return math.sqrt(v @ v)
+    v = np.ascontiguousarray(v)   # a strided dot sums in another order
+    return np.sqrt(np.matmul(v[:, None, :], v[..., None])[:, 0, 0])
+
+
 def _block(G: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """G[rows][:, cols]: a view when both index runs are contiguous (as every
     encoder's partitions are), else an np.ix_ copy."""
@@ -249,13 +261,19 @@ class StationaritySystem:
             base = abs(d)
         return (gamma * base) * self.nl_sign[k]
 
+    # The maps below take one state, or a stack of states of this system as
+    # the rows of a 2-D array (engine.run_trials), and give each row bitwise
+    # the one-state value: one matrix-vector product per row, and each row's
+    # sums taken over a C-ordered row.  Scalars come back as floats for one
+    # state and as arrays for a stack.
+
     def operator(self, d2: np.ndarray, gamma: float = 1.0) -> np.ndarray:
         """T(d2) = G' m(d2) + e (gamma-scaled nonlinearity)."""
-        return self.Gprime @ self.m(d2, gamma) + self.e
+        return np.matmul(self.Gprime, self.m(d2, gamma)[..., None])[..., 0] + self.e
 
-    def residual(self, d2: np.ndarray, gamma: float = 1.0) -> float:
+    def residual(self, d2: np.ndarray, gamma: float = 1.0):
         """||d2 - (G' m(d2) + e)||_2; convergence is judged at gamma = 1."""
-        return float(np.linalg.norm(d2 - self.operator(d2, gamma)))
+        return norm(d2 - self.operator(d2, gamma))
 
     # -- recovery ------------------------------------------------------------
 
@@ -264,7 +282,7 @@ class StationaritySystem:
 
         d1 = D c2 + d0 (= (I - G11 S)^{-1} (G12 c2 + G11 h)),  c1 = S d1 + h.
         """
-        d1 = self.D @ c2 + self.d0
+        d1 = np.matmul(self.D, c2[..., None])[..., 0] + self.d0
         return d1, self.s * d1 + self.h
 
     def variable_vector(self, d2: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -274,9 +292,9 @@ class StationaritySystem:
         coordinates; the affine ones cost one K1 x K product.
         """
         d1, c1 = self.recover_affine(c2)
-        z = np.empty(self.n_affine + self.n_nonlinear)
-        z[self.affine_idx] = (d1 + self.aff_sign * c1) / 2.0
-        z[self.nonlinear_idx] = (d2 + self.nl_sign * c2) / 2.0
+        z = np.empty(d2.shape[:-1] + (self.n_affine + self.n_nonlinear,))
+        z[..., self.affine_idx] = (d1 + self.aff_sign * c1) / 2.0
+        z[..., self.nonlinear_idx] = (d2 + self.nl_sign * c2) / 2.0
         return z
 
     def recover_variables(self, d2: np.ndarray, c2: np.ndarray) -> dict[str, np.ndarray]:
@@ -291,8 +309,11 @@ class StationaritySystem:
         c2; the l1 costs add ||z2||_1 over their nonlinear coordinates.
         """
         z2 = (d2 + self.nl_sign * c2) / 2.0
-        return (float(self.objective_c2 @ c2) + self.objective_0
-                + float(np.abs(z2[self.nl_is_l1]).sum()))
+        # C-ordered, so that each row of a stack sums as one vector does
+        l1 = np.ascontiguousarray(np.abs(z2[..., self.nl_is_l1])).sum(axis=-1)
+        value = (np.matmul(self.objective_c2, c2[..., None])[..., 0]
+                 + self.objective_0 + l1)
+        return float(value) if value.ndim == 0 else value
 
     def dump(self, path) -> None:
         """Binary dump of the operator data (numpy .npz; see README for keys)."""

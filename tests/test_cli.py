@@ -271,6 +271,10 @@ _EXPERIMENT = ["experiment", "--preset", "chebyshev", "--n", "3", "--m", "6",
     _EXPERIMENT + ["--trials", "0"],
     _EXPERIMENT + ["--p-list", ""],
     _EXPERIMENT + ["--mode", "distributed", "--workers", "0"],
+    # the generator accepts m = 0 and the encoder refuses it
+    ["experiment", "--preset", "bp", "--trials", "1", "--m", "0"],
+    _EXPERIMENT + ["--max-equiv-iters", "-1"],
+    _EXPERIMENT + ["--max-equiv-iters", "0.5"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_bad_flag_values_are_usage_errors(argv, lp_file, tmp_path, capsys):
     # refused before anything is written, as exit 2 (exit 1 means "NOT
@@ -388,24 +392,33 @@ def test_experiment_aggregates_each_unit_over_trials(tmp_path, monkeypatch):
     units, trials = 30, 9
     trajs = {}
 
-    def fake_run_once(system, args, seed, p, reference=None):
-        rng = np.random.default_rng([seed, round(10 * p)])
-        # trial 0 stops at unit 0, trial 1 records past the grid
-        length = {0: 1, 1: units + 2}.get(seed, int(rng.integers(2, units + 1)))
-        traj = engine.Trajectory()
-        for u in range(length):
-            traj.append(float(u), rng.normal(),
-                        rng.random() * 10.0 ** -rng.integers(12), rng.random())
-        trajs.setdefault(p, []).append(traj)
-        return {"converged": True, "residual": traj.residual[-1]}, traj
+    def fake_run_trials(systems, schedules, max_equiv_iters, tol, references):
+        results = []
+        for system, schedule in zip(systems, schedules):
+            seed, p = schedule.seed, schedule.p
+            rng = np.random.default_rng([seed, round(10 * p)])
+            # trial 0 stops at unit 0, trial 1 records past the grid
+            length = {0: 1, 1: units + 2}.get(seed,
+                                             int(rng.integers(2, units + 1)))
+            traj = engine.Trajectory()
+            for u in range(length):
+                traj.append(float(u), rng.normal(),
+                            rng.random() * 10.0 ** -rng.integers(12),
+                            rng.random())
+            trajs.setdefault(p, []).append(traj)
+            state = engine.init_state(system)
+            state.converged = True
+            results.append((state, traj))
+        return results
 
-    monkeypatch.setattr(cli, "_run_once", fake_run_once)
+    monkeypatch.setattr(engine, "run_trials", fake_run_trials)
     out = tmp_path / "exp"
     rc = cli.main(["experiment", "--preset", "bp", "--n", "8", "--m", "4",
                    "--sparsity", "1", "--trials", str(trials),
                    "--p-list", "0.3,0.7", "--max-equiv-iters", str(units),
                    "--out", str(out)])
     assert rc == 0
+    assert sorted(trajs) == [0.3, 0.7]
     for p, group in trajs.items():
         assert len(group) == trials
         # the loop reference: each trial's row at unit u, or its final row
@@ -425,6 +438,50 @@ def test_experiment_aggregates_each_unit_over_trials(tmp_path, monkeypatch):
                 column = np.array([values[u] for values in per_trial])
                 assert float(row[f"{name}_mean"]) == np.mean(column), (p, u, name)
                 assert float(row[f"{name}_median"]) == np.median(column), (p, u, name)
+
+
+@pytest.mark.parametrize("mode", ["sync", "bernoulli"])
+def test_stacked_experiment_never_runs_trials_one_by_one(mode, tmp_path,
+                                                         monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("engine.run called by a stacked battery")
+
+    monkeypatch.setattr(engine, "run", refuse)
+    out = tmp_path / "exp"
+    rc = cli.main(["experiment", "--preset", "bp", "--n", "16", "--m", "8",
+                   "--sparsity", "2", "--trials", "3", "--mode", mode,
+                   "--p-list", "0.3,1.0", "--max-equiv-iters", "40",
+                   "--out", str(out)])
+    assert rc == 0
+    with open(out / "summary.json") as fh:
+        groups = json.load(fh)["groups"]
+    assert list(groups) == (["p=0.3", "p=1.0"] if mode == "bernoulli"
+                            else ["sync"])
+
+
+def test_experiment_stacks_trials_in_chunks(tmp_path, monkeypatch):
+    # a cap of two trials' bytes: three calls for five trials of
+    # two groups, and outputs bitwise those of one stack
+    argv = ["experiment", "--preset", "chebyshev", "--n", "3", "--m", "6",
+            "--trials", "5", "--p-list", "0.4,0.9", "--max-equiv-iters", "60"]
+    assert cli.main(argv + ["--out", str(tmp_path / "one")]) == 0
+    calls = []
+    run_trials = engine.run_trials
+
+    def counted(systems, *args):
+        calls.append(len(systems))
+        return run_trials(systems, *args)
+
+    system = stationarity.build_system(problems.chebyshev_encode(
+        problems.gen_chebyshev(3, 6)))
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 2 * engine.trial_bytes(system, 2, 60))
+    monkeypatch.setattr(engine, "run_trials", counted)
+    assert cli.main(argv + ["--out", str(tmp_path / "chunks")]) == 0
+    assert calls == [4, 4, 2]
+    for name in ("experiment_p0.4.csv", "experiment_p0.9.csv",
+                 "experiment_combined.csv", "summary.json"):
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "chunks" / name).read_bytes()
 
 
 def test_reference_falls_back_above_the_oracle_size_limit():

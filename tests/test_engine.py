@@ -256,6 +256,124 @@ def test_resumed_run_does_not_replay_its_firing_pattern(seed):
     assert state.equivalent_iterations <= 1.5 * single.equivalent_iterations
 
 
+# ---------------------------------------------------------------------------
+# stacked trials
+
+def _same(a, b) -> bool:
+    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
+
+
+def _assert_trials_equal_runs(systems, schedules, budget, tol, references):
+    """run_trials gives, trial by trial, bitwise run's state and rows."""
+    stacked = engine.run_trials(systems, schedules, budget, tol, references)
+    assert len(stacked) == len(systems)
+    for i, (state, traj) in enumerate(stacked):
+        want, want_traj = engine.run(systems[i], schedules[i], budget, tol,
+                                     references[i])
+        assert _same(state.d2, want.d2) and _same(state.c2, want.c2), i
+        assert state.fired_updates == want.fired_updates, i
+        assert state.converged is want.converged, i
+        for column in ("equiv_iter", "objective", "residual", "dist_to_ref"):
+            assert _same(getattr(traj, column), getattr(want_traj, column)), \
+                (i, column)
+    return stacked
+
+
+def _battery(kind, trials):
+    """Systems of one shape with their references: the basis-pursuit planted
+    solution, and the oracle's ball for all Chebyshev trials but the last."""
+    from asynclp import cli
+    if kind == "cheb":
+        insts = [gen_chebyshev(3, 6, seed=s) for s in range(trials)]
+        refs = [cli._reference_for(i) for i in insts[:-1]] + [None]
+        return [build_system(chebyshev_encode(i)) for i in insts], refs
+    insts = [gen_basis_pursuit(16, 8, 2, seed=s) for s in range(trials)]
+    return ([build_system(basis_pursuit_encode(i)) for i in insts],
+            [{"x": i.x_true} for i in insts])
+
+
+def _schedules(mode, trials, homotopy):
+    ps = [0.2, 0.5, 0.9, 1.0]   # mixed firing probabilities, p=1 among them
+    return [engine.ScheduleConfig(mode=mode, p=ps[i % 4] if mode == "bernoulli"
+                                  else 1.0, seed=i, homotopy=homotopy)
+            for i in range(trials)]
+
+
+# budgets of 300 units run past several 64-tick draw windows
+@pytest.mark.parametrize("kind", ["cheb", "bp"])
+@pytest.mark.parametrize("mode,homotopy", [("sync", "ramp:0.5:250"),
+                                           ("bernoulli", "bp")])
+def test_run_trials_equals_per_trial_runs(kind, mode, homotopy):
+    systems, refs = _battery(kind, 5)
+    schedules = _schedules(mode, 5, homotopy)
+    # sync stalls (README), so its trials stop at a looser tol or not at all
+    tol = 1e-8 if mode == "bernoulli" else 2e-2
+    stacked = _assert_trials_equal_runs(systems, schedules, 300, tol, refs)
+    units = sorted(len(traj) for _, traj in stacked)
+    assert units[0] > 1 and units[0] < units[-1]   # trials stop at different units
+    assert any(state.converged for state, _ in stacked)
+
+
+@pytest.mark.parametrize("kind", ["cheb", "bp"])
+@pytest.mark.parametrize("mode", ["sync", "bernoulli"])
+def test_run_trials_fractional_budget_ends_mid_unit(kind, mode):
+    # no row when the budget ends inside a unit; the state is the one after
+    # the last step
+    systems, refs = _battery(kind, 4)
+    stacked = _assert_trials_equal_runs(systems, _schedules(mode, 4, "bp"),
+                                        90.3, 0.0, refs)
+    K = systems[0].n_nonlinear
+    for state, traj in stacked:
+        assert not state.converged
+        assert state.fired_updates >= 90.3 * K
+        assert traj.equiv_iter[-1] <= state.equivalent_iterations
+    if mode == "bernoulli":
+        assert any(len(traj) == 91 for _, traj in stacked)
+
+
+@pytest.mark.parametrize("budget", [0, 0.5, 3])
+def test_run_trials_short_budgets_and_tol_at_row_0(budget):
+    systems, refs = _battery("bp", 3)
+    for tol in (0.0, 1e9):
+        stacked = _assert_trials_equal_runs(
+            systems, _schedules("bernoulli", 3, "bp"), budget, tol, refs)
+        if tol:   # tol met at row 0: the trial never ticks
+            assert all(state.fired_updates == 0 and len(traj) == 1
+                       for state, traj in stacked)
+
+
+def test_run_trials_single_trial():
+    systems, refs = _battery("cheb", 2)
+    for mode in ("sync", "bernoulli"):
+        _assert_trials_equal_runs(systems[:1], _schedules(mode, 1, "bp"),
+                                  150, 1e-8, refs[:1])
+
+
+def test_run_trials_shared_systems_in_any_order():
+    # trials that share a system and its reference share its products; they
+    # need not be adjacent, and one system under two reference objects is
+    # measured as two
+    systems, refs = _battery("bp", 2)
+    other_ref = {"x": refs[0]["x"] + 1.0}
+    order = [0, 1, 0, 0, 1, 0]
+    stacked_refs = [refs[i] for i in order]
+    stacked_refs[3] = other_ref
+    for mode in ("sync", "bernoulli"):
+        _assert_trials_equal_runs([systems[i] for i in order],
+                                  _schedules(mode, len(order), "bp"), 120,
+                                  1e-8, stacked_refs)
+
+
+def test_run_trials_refuses_mixed_batteries():
+    cheb, _ = _battery("cheb", 2)
+    bp, _ = _battery("bp", 1)
+    sync, bern = _schedules("sync", 1, "bp"), _schedules("bernoulli", 1, "bp")
+    for systems, schedules in ((cheb, sync + bern), (cheb[:1] + bp, sync * 2),
+                               (cheb, sync), (bp, _schedules("randomk", 1, None))):
+        with pytest.raises(ValueError):
+            engine.run_trials(systems, schedules, 10, 1e-8)
+
+
 def test_trajectory_reference_column(tmp_path):
     system = build_system(chebyshev_encode(gen_chebyshev(3, 6, seed=2)))
     deep = engine.ScheduleConfig(mode="bernoulli", p=0.5, seed=0, homotopy="bp")

@@ -400,6 +400,34 @@ def test_reduce_refuses_uncoupled_cost_input():
             st.build_system(problem)
 
 
+def test_maps_of_a_stack_of_states_equal_the_one_state_maps_bitwise():
+    # the monitoring maps take the states of one system as the rows of a 2-D
+    # array (engine.run_trials); each row's value is bitwise its own call's
+    rng = np.random.default_rng(18)
+    problems = [random_async_problem(rng) for _ in range(4)]
+    problems += [chebyshev_encode(gen_chebyshev(6, 12, seed=1)),
+                 basis_pursuit_encode(gen_basis_pursuit(64, 32, 4, seed=3))]
+    for problem in problems:
+        system = st.build_system(problem)
+        d2 = rng.normal(scale=2.0, size=(5, system.n_nonlinear))
+        c2 = rng.normal(scale=2.0, size=(5, system.n_nonlinear))
+        reference = engine.reference_coordinates(
+            system, {v.name: rng.normal() for v in problem.specs()[::2]})
+        stacked = [system.operator(d2, 0.7), system.residual(d2),
+                   system.objective(d2, c2), system.variable_vector(d2, c2),
+                   *system.recover_affine(c2),
+                   *engine.Trajectory.measure(system, d2, c2, reference)]
+        for r in range(5):
+            one = [system.operator(d2[r], 0.7), system.residual(d2[r]),
+                   system.objective(d2[r], c2[r]),
+                   system.variable_vector(d2[r], c2[r]),
+                   *system.recover_affine(c2[r]),
+                   *engine.Trajectory.measure(system, d2[r], c2[r], reference)]
+            for got, want in zip(stacked, one):
+                assert np.array_equal(got[r], want)
+        assert isinstance(one[1], float) and isinstance(one[2], float)
+
+
 def test_monitoring_map_equals_full_recovery():
     # recovery and the objective come from maps precomputed by reduce; check
     # them against the LU solve of (I - G11 S) d1 = G12 c2 + G11 h and the
