@@ -213,10 +213,15 @@ def _battery(args, groups):
 
 
 def _csv_lines(table: np.ndarray) -> list[str]:
-    """The CSV lines `u,<row u>` of a grid table."""
+    """The CSV lines `u,<row u>` of a grid table; a row bitwise equal to the
+    one before it (a stopped trial's grid repeats its last row) reuses its
+    text."""
+    bits = table.view(np.int64)
+    new = np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)]
     body = io.StringIO()
-    csv.writer(body).writerows([u] + row for u, row in enumerate(table.tolist()))
-    return body.getvalue().splitlines(keepends=True)
+    csv.writer(body).writerows(table[new].tolist())
+    text = body.getvalue().splitlines(keepends=True)
+    return [f"{u},{text[i]}" for u, i in enumerate((np.cumsum(new) - 1).tolist())]
 
 
 def cmd_experiment(args) -> int:

@@ -9,32 +9,32 @@ stages:
     compute    delta = eta * (gamma * m_k(d_hat) - c_hat)
     increment  d2 += G'[:, k] * delta, then c2(k) += delta
 
-W workers take turns issuing lookups into a first-in, first-out queue of
-lookups in flight.  Once W lookups are in flight the oldest is computed and
-applied, so every read misses the W - 1 increments applied while it was in
-flight (the first W reads all see the cold start): a fixed delay tau = W - 1.
-Increments are applied one at a time, so none is lost.  A delta of zero
-performs no writes.
+W workers take turns issuing lookups.  Once W lookups are in flight the
+oldest is computed and applied, so every read misses the W - 1 increments
+applied while it was in flight (the first W reads all see the cold start): a
+fixed delay tau = W - 1.  Increments are applied one at a time, so none is
+lost.  A delta of zero performs no writes.  The three stages run in
+engine.coordinate_kernel with delay tau, whose ring holds the lookups in
+flight; worker_update is one update done eagerly, the tests' reference.
 
 The relaxation eta = 1 / (1 + 2 tau / sqrt(K)) is ARock's step bound for
 delay tau (Peng, Xu, Yan & Yin 2016); without it the delayed iteration
 does not converge.  Coordinates are drawn in windows of K; lookups still in
 flight when the run stops are never applied.  A run advances through the
 engine's loop, so with one worker (tau = 0, eta = 1) it is bit-for-bit the
-engine's random-coordinate schedule: same RNG stream, same update
-arithmetic, same loop.  A run is deterministic for a given (workers, seed).
+engine's random-coordinate schedule: same RNG stream, same kernel, same
+loop.  A run is deterministic for a given (workers, seed).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import SolverState, Trajectory, iterate, make_gamma
+from .engine import (SolverState, Trajectory, coordinate_kernel, iterate,
+                     make_gamma)
 from .stationarity import StationaritySystem
 
 
@@ -57,7 +57,8 @@ def worker_update(array: AssocArray, system: StationaritySystem, k: int,
                   d_hat: float, c_hat: float, gamma: float = 1.0,
                   eta: float = 1.0) -> float:
     """Compute from the looked-up pair (d_hat, c_hat), then increment the
-    store with column k of G', as engine.incremental_step does.
+    store with column k of G': one update of engine.coordinate_kernel, done
+    eagerly.
 
     Returns delta; a delta of zero writes nothing.
     """
@@ -108,29 +109,24 @@ def run_distributed(system: StationaritySystem, workers: int = 1,
     array = init_array(system)
     rngs = [np.random.default_rng(seed if workers == 1 else [seed, i])
             for i in range(workers)]
+    fire = coordinate_kernel(system, workers - 1, eta)
     blocks: list[np.ndarray] = []      # coordinates of every window issued
-
-    def lookups():
-        """Lookups in issue order; each reads the store when it is taken."""
-        d2, c2 = array.d2, array.c2
-        for w in itertools.count():
-            block = np.empty(K, dtype=np.int64)
-            for i, rng in enumerate(rngs):
-                mine = block[(i - w * K) % workers::workers]
-                mine[:] = rng.integers(K, size=len(mine))
-            blocks.append(block)
-            g = gamma(w + 1)
-            for k in block.tolist():
-                yield k, d2[k], c2[k], g
-
-    issue = lookups()
-    in_flight: deque = deque()
+    issued = 0
 
     def advance(array: AssocArray, stop: int) -> None:
-        for _ in range(stop - array.fired_updates):
-            while len(in_flight) < workers:
-                in_flight.append(next(issue))
-            worker_update(array, system, *in_flight.popleft(), eta)
+        # update j applies lookup j, once lookups up to j + W - 1 are issued
+        nonlocal issued
+        while issued < stop + workers - 1:
+            w, at = divmod(issued, K)
+            if w == len(blocks):   # each worker draws its lookups of window w
+                block = np.empty(K, dtype=np.int64)
+                for i, rng in enumerate(rngs):
+                    mine = block[(i - w * K) % workers::workers]
+                    mine[:] = rng.integers(K, size=len(mine))
+                blocks.append(block)
+            n = min(K - at, stop + workers - 1 - issued)
+            fire(array, blocks[w][at:at + n].tolist(), gamma(w + 1))
+            issued += n
         array.fired_updates = stop
 
     traj = iterate(system, array, advance, max_equiv_iters, tol, reference)

@@ -16,7 +16,8 @@ total fired coordinate updates divided by the number of nonlinear coordinates.
 Every schedule runs through one loop, `iterate`, which owns the budget, the
 trajectory rows and the tol check.  A schedule supplies only the updates, as
 advance(state, stop): `run` steps the schedules below, and
-distributed.run_distributed its delayed workers.
+distributed.run_distributed its delayed workers.  The incremental updates of
+randomk, sweep and the delayed workers all go through `coordinate_kernel`.
 
 Because G' is an isometry and every m is non-expansive, the iteration map has
 Lipschitz constant exactly 1: convergence sits on the boundary.  A homotopy
@@ -172,21 +173,57 @@ def simultaneous_sweep_step(state: SolverState, system: StationaritySystem,
     state.fired_updates += state.n_coords
 
 
+def coordinate_kernel(system: StationaritySystem, delay: int = 0, eta: float = 1.0,
+                      ) -> Callable[[SolverState, object, float], None]:
+    """fire(state, coords, gamma): the incremental updates of randomk, sweep
+    and the distributed workers, one coordinate of `coords` after another.
+
+    Coordinate k reads d_hat = d2(k) and c_hat = c2(k) when it is fired; its
+    delta = eta (m_k(d_hat) - c_hat) is applied, d2 += G'[:, k] delta and
+    c2(k) += delta, `delay` reads later.  Reads in flight wait in a ring
+    carried from call to call, whose empty slots hold a zero delta; a zero
+    delta writes nothing.  m_k is m_scalar's arithmetic on Python floats, so
+    each update is bitwise distributed.worker_update's.  The caller counts the
+    updates.
+    """
+    columns = [system.Gprime[:, k] for k in range(system.n_nonlinear)]   # views
+    sign, is_l1 = system.nl_sign.tolist(), system.nl_is_l1.tolist()
+    ring_k, ring_delta = [0] * (delay + 1), [0.0] * (delay + 1)
+    slot, step = 0, np.empty(system.n_nonlinear)
+    add, multiply = np.add, np.multiply
+
+    def fire(state: SolverState, coords, gamma: float) -> None:
+        nonlocal slot
+        d2, c2 = state.d2, state.c2.tolist()
+        for k in coords:
+            d = d2.item(k)
+            if is_l1[k]:
+                base = d + 2.0 if d < -1.0 else (d - 2.0 if d > 1.0 else -d)
+            else:
+                base = abs(d)
+            ring_k[slot] = k
+            ring_delta[slot] = eta * ((gamma * base) * sign[k] - c2[k])
+            slot = slot + 1 if slot < delay else 0
+            delta = ring_delta[slot]   # the oldest read in flight
+            if delta != 0.0:
+                k = ring_k[slot]
+                add(d2, multiply(columns[k], delta, step), d2)
+                c2[k] += delta
+        state.c2[:] = c2
+
+    return fire
+
+
 def incremental_step(state: SolverState, system: StationaritySystem, k: int,
                      gamma: float = 1.0) -> None:
     """Fire coordinate k against the current state (column-increment form)."""
-    delta = system.m_scalar(k, state.d2[k], gamma) - state.c2[k]
-    state.d2 += system.Gprime[:, k] * delta
-    state.c2[k] += delta
+    coordinate_kernel(system)(state, (k,), gamma)
     state.fired_updates += 1
 
 
 def sweep_step(state: SolverState, system: StationaritySystem, gamma: float = 1.0) -> None:
     """One in-order pass of incremental updates (each sees the latest d2)."""
-    for k in range(state.n_coords):
-        delta = system.m_scalar(k, state.d2[k], gamma) - state.c2[k]
-        state.d2 += system.Gprime[:, k] * delta
-        state.c2[k] += delta
+    coordinate_kernel(system)(state, range(state.n_coords), gamma)
     state.fired_updates += state.n_coords
 
 
@@ -324,19 +361,21 @@ def run(system: StationaritySystem, schedule: ScheduleConfig,
     K = state.n_coords
     rng = np.random.default_rng([schedule.seed, state.fired_updates]
                                 if state.fired_updates else schedule.seed)
+    if schedule.mode in ("randomk", "sweep"):
+        fire = coordinate_kernel(system)
 
     def advance(state: SolverState, stop: int) -> None:
         g = schedule.gamma(state.fired_updates // K + 1)
-        if schedule.mode == "randomk":   # coordinates drawn in one block
-            for k in rng.integers(K, size=stop - state.fired_updates).tolist():
-                incremental_step(state, system, k, g)
-        elif schedule.mode == "bernoulli":
+        if schedule.mode == "bernoulli":
             while state.fired_updates < stop:
                 async_tick(state, system, schedule.p, rng, g)
         elif schedule.mode == "sync":   # sync and sweep fire all K at once
             sync_step(state, system, g)
-        else:
-            sweep_step(state, system, g)
+        else:   # randomk draws its coordinates in one block
+            coords = (rng.integers(K, size=stop - state.fired_updates).tolist()
+                      if schedule.mode == "randomk" else range(K))
+            fire(state, coords, g)
+            state.fired_updates += len(coords)
 
     return state, iterate(system, state, advance, max_equiv_iters, tol,
                           reference)

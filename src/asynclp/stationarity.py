@@ -308,9 +308,11 @@ class StationaritySystem:
         The linear costs sit on affine coordinates, so their part is affine in
         c2; the l1 costs add ||z2||_1 over their nonlinear coordinates.
         """
-        z2 = (d2 + self.nl_sign * c2) / 2.0
-        # C-ordered, so that each row of a stack sums as one vector does
-        l1 = np.ascontiguousarray(np.abs(z2[..., self.nl_is_l1])).sum(axis=-1)
+        l1 = 0.0   # the empty sum, when | . | is every coordinate's base
+        if self._base is not np.abs:
+            z2 = (d2 + self.nl_sign * c2) / 2.0
+            # C-ordered, so that each row of a stack sums as one vector does
+            l1 = np.ascontiguousarray(np.abs(z2[..., self.nl_is_l1])).sum(axis=-1)
         value = (np.matmul(self.objective_c2, c2[..., None])[..., 0]
                  + self.objective_0 + l1)
         return float(value) if value.ndim == 0 else value

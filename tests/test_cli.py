@@ -1,6 +1,7 @@
 import csv
 import importlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -585,6 +586,16 @@ def test_traced_names_and_exports_resolve():
             for part in parts:
                 owner = getattr(owner, part)
             assert last in owner.__dict__, f"{layer}.{attr}"
+            assert callable(owner.__dict__[last]), f"{layer}.{attr}"
+    traced = {f"{layer}.{attr}" for layer, attrs in spans.TRACED.items()
+              for attr in attrs}
+    # the update paths' names stay pinned, the kernel's callers among them
+    assert {"engine.incremental_step", "engine.sweep_step",
+            "distributed.worker_update", "distributed.init_array",
+            "distributed.AssocArray.snapshot_d2",
+            "distributed.AssocArray.snapshot_c2",
+            "stationarity.StationaritySystem.m_scalar"} <= traced
+    assert set(spans.HOOKS) | set(spans.TICKS) | set(spans.MONITOR) <= traced
     for name in asynclp.__all__:
         assert hasattr(asynclp, name), name
 
@@ -620,6 +631,12 @@ def test_traced_hooks_fill_their_counters():
                               max_equiv_iters=5, tol=0.0)
         *_, reports, _ = distributed.run_distributed(
             system, workers=2, max_equiv_iters=5, tol=0.0)
+        # run_distributed fires through engine.coordinate_kernel, so the
+        # update hook is reached by worker_update's own calls
+        array = distributed.init_array(system)
+        deltas = [distributed.worker_update(array, system, k, d_hat, 0.0)
+                  for k, d_hat in [(0, array.d2[0]), (1, array.d2[1]),
+                                   (1, 0.0)]]
     finally:
         tracer.uninstall()
     counters = tracer.counters()
@@ -627,6 +644,45 @@ def test_traced_hooks_fill_their_counters():
         a.nbytes for a in (system.G, system.Gprime, system.G11, system.G12,
                            system.G21))
     assert counters["engine.fired_updates"] == state.fired_updates > 0
-    assert counters["distributed.updates"] == 5 * system.n_nonlinear
+    assert deltas[2] == 0.0 != deltas[0]
+    assert counters["distributed.updates"] == 3
+    assert counters["distributed.nonzero"] == sum(d != 0.0 for d in deltas)
     assert [r.updates for r in reports] == [(5 * system.n_nonlinear + 1) // 2,
                                             5 * system.n_nonlinear // 2]
+
+
+def _plain_csv_lines(table):
+    body = io.StringIO()
+    csv.writer(body).writerows([u] + row for u, row in enumerate(table.tolist()))
+    return body.getvalue().splitlines(keepends=True)
+
+
+def test_csv_lines_equal_a_plain_writer():
+    # repeated rows reuse their text; rows that are equal but not bitwise
+    # (0.0 and -0.0) and rows of NaN are written as a plain writer does
+    rng = np.random.default_rng(4)
+    table = rng.normal(size=(6, 40)).T   # strided, as cmd_experiment's is
+    table[25:] = table[24]
+    table[4] = table[3]
+    table[3, 1], table[4, 1] = -0.0, 0.0
+    table[6:8] = table[5]
+    table[5:8, 2] = np.nan
+    table[30:32, 5] = 1e-300
+    assert cli._csv_lines(table) == _plain_csv_lines(table)
+    assert cli._csv_lines(table[:1]) == _plain_csv_lines(table[:1])
+
+
+def test_experiment_csv_files_equal_a_plain_writer(tmp_path, monkeypatch):
+    # trials stop at tol, so their grids repeat their last rows
+    argv = ["experiment", "--preset", "chebyshev", "--n", "3", "--m", "6",
+            "--trials", "3", "--p-list", "0.5,1.0", "--max-equiv-iters", "400"]
+    assert cli.main(argv + ["--out", str(tmp_path / "reused")]) == 0
+    monkeypatch.setattr(cli, "_csv_lines", _plain_csv_lines)
+    assert cli.main(argv + ["--out", str(tmp_path / "plain")]) == 0
+    names = ["experiment_p0.5.csv", "experiment_p1.0.csv",
+             "experiment_combined.csv"]
+    for name in names:
+        reused = (tmp_path / "reused" / name).read_bytes()
+        assert reused == (tmp_path / "plain" / name).read_bytes(), name
+    rows = list(csv.reader(io.StringIO(reused.decode())))
+    assert len({tuple(r[2:]) for r in rows[1:]}) < len(rows) - 1

@@ -6,7 +6,8 @@ import pytest
 
 from asynclp import distributed as ds
 from asynclp import engine
-from asynclp.problems import chebyshev_encode, gen_chebyshev
+from asynclp.problems import (basis_pursuit_encode, chebyshev_encode,
+                              gen_basis_pursuit, gen_chebyshev)
 from asynclp.stationarity import build_system
 
 from conftest import random_async_problem
@@ -245,3 +246,59 @@ def test_multi_worker_reference_column():
     assert converged
     assert np.isfinite(traj.dist_to_ref).all()
     assert traj.dist_to_ref[-1] <= 1e-6
+
+
+def _eager_delayed_run(system, workers, units, seed, homotopy):
+    """The delayed model updated one eager column at a time: lookup j by
+    worker j % W reads (d2[k], c2[k]) into a queue when it is issued, with
+    gamma of its window; once W lookups wait, the oldest is applied.
+    Returns (d2, c2, per-worker histograms, number of zero deltas, residual
+    rows at the start and after each unit of K applied updates)."""
+    K = system.n_nonlinear
+    gamma = engine.make_gamma(homotopy)
+    eta = 1.0 / (1.0 + 2.0 * (workers - 1) / math.sqrt(K))
+    budget = math.ceil(units * K - 1e-9)
+    rngs = [np.random.default_rng(seed if workers == 1 else [seed, i])
+            for i in range(workers)]
+    d2, c2 = system.e.copy(), np.zeros(K)
+    hist = np.zeros((workers, K), dtype=int)
+    reads, zeros, rows = deque(), 0, [system.residual(d2)]
+    for j in range(budget + workers - 1):
+        k = int(rngs[j % workers].integers(K))
+        reads.append((j % workers, k, d2[k], c2[k], gamma(j // K + 1)))
+        if len(reads) == workers:
+            i, k, d_hat, c_hat, g = reads.popleft()
+            delta = eta * (system.m_scalar(k, d_hat, g) - c_hat)
+            if delta == 0.0:
+                zeros += 1
+            d2 += system.Gprime[:, k] * delta
+            c2[k] += delta
+            hist[i, k] += 1
+            if hist.sum() % K == 0:
+                rows.append(system.residual(d2))
+    return d2, c2, hist.tolist(), zeros, rows
+
+
+@pytest.mark.parametrize("units", [120, 120.5, 121.3])
+def test_kernel_runs_equal_the_eager_delayed_model(units):
+    # basis pursuit 64x32 (K = 64, every coordinate l1): randomk and one
+    # worker are the model with W = 1, three workers with W = 3; the runs end
+    # near the fixed point, where some coordinates fire with a zero delta
+    system = build_system(basis_pursuit_encode(gen_basis_pursuit(64, 32, 4, seed=0)))
+    assert system.n_nonlinear == 64
+    state, traj = engine.run(system, engine.ScheduleConfig(
+        "randomk", seed=5, homotopy="bp"), max_equiv_iters=units, tol=0.0)
+    d2, c2, hist, zeros, rows = _eager_delayed_run(system, 1, units, 5, "bp")
+    assert zeros > 0
+    assert state.fired_updates == math.ceil(units * 64 - 1e-9)
+    assert np.array_equal(state.d2, d2) and np.array_equal(state.c2, c2)
+    assert traj.residual == rows
+    for workers in (1, 3):
+        d2, c2, hist, zeros, rows = _eager_delayed_run(system, workers, units,
+                                                       5, "bp")
+        run = ds.run_distributed(system, workers=workers, max_equiv_iters=units,
+                                 tol=0.0, seed=5, homotopy="bp")
+        assert zeros > 0
+        assert np.array_equal(run[0], d2) and np.array_equal(run[1], c2)
+        assert run[2].residual == rows
+        assert [rep.histogram for rep in run[3]] == hist

@@ -428,6 +428,38 @@ def test_maps_of_a_stack_of_states_equal_the_one_state_maps_bitwise():
         assert isinstance(one[1], float) and isinstance(one[2], float)
 
 
+def _objective_with_l1_sum(system, d2, c2):
+    # the objective as written before systems with no l1 coordinate skipped
+    # the empty l1 sum
+    z2 = (d2 + system.nl_sign * c2) / 2.0
+    l1 = np.ascontiguousarray(np.abs(z2[..., system.nl_is_l1])).sum(axis=-1)
+    value = (np.matmul(system.objective_c2, c2[..., None])[..., 0]
+             + system.objective_0 + l1)
+    return float(value) if value.ndim == 0 else value
+
+
+def test_objective_is_the_l1_sum_formula_bitwise():
+    rng = np.random.default_rng(23)
+    problems = [random_async_problem(rng) for _ in range(6)]
+    problems += [chebyshev_encode(gen_chebyshev(10, 20, seed=2)),
+                 to_asynchronous_form(random_standard_lp(rng)),
+                 basis_pursuit_encode(gen_basis_pursuit(16, 8, 2, seed=1))]
+    kinds = set()
+    for problem in problems:
+        system = st.build_system(problem)
+        kinds.add(bool(system.nl_is_l1.any()))
+        K = system.n_nonlinear
+        d2 = rng.normal(scale=2.0, size=(7, K))
+        c2 = rng.normal(scale=2.0, size=(7, K))
+        c2[0] = 0.0
+        for args in [(d2, c2), (d2[3], c2[3]), (d2[0], c2[0]),
+                     (system.e, np.zeros(K))]:
+            got, want = system.objective(*args), _objective_with_l1_sum(system, *args)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert kinds == {False, True}
+
+
 def test_monitoring_map_equals_full_recovery():
     # recovery and the objective come from maps precomputed by reduce; check
     # them against the LU solve of (I - G11 S) d1 = G12 c2 + G11 h and the
