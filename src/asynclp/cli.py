@@ -319,6 +319,8 @@ def _refuse_bad_values(args, command: argparse.ArgumentParser) -> None:
     try:
         if not np.isfinite(args.max_equiv_iters):
             raise ValueError("--max-equiv-iters must be finite")
+        if not args.tol >= 0:   # a residual is never below it, nor NaN
+            raise ValueError("--tol must be a number >= 0")
         if args.command == "solve":
             ps = [args.p]
         else:

@@ -19,8 +19,9 @@ flight; worker_update is one update done eagerly, the tests' reference.
 
 The relaxation eta = 1 / (1 + 2 tau / sqrt(K)) is ARock's step bound for
 delay tau (Peng, Xu, Yan & Yin 2016); without it the delayed iteration
-does not converge.  Coordinates are drawn in windows of K; lookups still in
-flight when the run stops are never applied.  A run advances through the
+does not converge.  Lookups are issued in windows of K, and each worker
+draws the coordinates of many windows at a time; lookups still in flight
+when the run stops are never applied.  A run advances through the
 engine's loop, so with one worker (tau = 0, eta = 1) it is bit-for-bit the
 engine's random-coordinate schedule: same RNG stream, same kernel, same
 loop.  A run is deterministic for a given (workers, seed).
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (SolverState, Trajectory, coordinate_kernel, iterate,
-                     make_gamma)
+from .engine import (_DRAWS, SolverState, Trajectory, coordinate_kernel,
+                     iterate, make_gamma)
 from .stationarity import StationaritySystem
 
 
@@ -93,10 +94,11 @@ def run_distributed(system: StationaritySystem, workers: int = 1,
     Worker i draws coordinates from its own stream: default_rng(seed) when
     running alone (bit-for-bit the engine's randomk mode), default_rng([seed, i])
     otherwise.  Lookup j belongs to worker j % workers.  Lookups are issued in
-    windows of K: each worker draws its coordinates for the window in one
-    block (the same stream as one draw per lookup), and the window takes
-    gamma for the equivalent iteration in which it is issued.  Lookups still
-    in flight when engine.iterate stops, at tol or budget, are never applied.
+    windows of K, and a window takes gamma for the equivalent iteration in
+    which it is issued.  Each worker draws its coordinates for _DRAWS // K
+    windows in one block (the same stream as one draw per lookup).  Lookups
+    still in flight when engine.iterate stops, at tol or budget, are never
+    applied.
 
     Returns (d2, c2, trajectory, reports, converged); reports count applied
     updates and are empty when none was applied.
@@ -110,22 +112,23 @@ def run_distributed(system: StationaritySystem, workers: int = 1,
     rngs = [np.random.default_rng(seed if workers == 1 else [seed, i])
             for i in range(workers)]
     fire = coordinate_kernel(system, workers - 1, eta)
-    blocks: list[np.ndarray] = []      # coordinates of every window issued
+    size = K * max(1, _DRAWS // K)     # lookups drawn at a time: whole windows
+    blocks: list[np.ndarray] = []      # coordinates of every lookup drawn
     issued = 0
 
     def advance(array: AssocArray, stop: int) -> None:
         # update j applies lookup j, once lookups up to j + W - 1 are issued
         nonlocal issued
         while issued < stop + workers - 1:
-            w, at = divmod(issued, K)
-            if w == len(blocks):   # each worker draws its lookups of window w
-                block = np.empty(K, dtype=np.int64)
+            b, at = divmod(issued, size)
+            if b == len(blocks):   # each worker draws its lookups of block b
+                block = np.empty(size, dtype=np.int64)
                 for i, rng in enumerate(rngs):
-                    mine = block[(i - w * K) % workers::workers]
+                    mine = block[(i - b * size) % workers::workers]
                     mine[:] = rng.integers(K, size=len(mine))
                 blocks.append(block)
-            n = min(K - at, stop + workers - 1 - issued)
-            fire(array, blocks[w][at:at + n].tolist(), gamma(w + 1))
+            n = min(K - issued % K, stop + workers - 1 - issued)
+            fire(array, blocks[b][at:at + n].tolist(), gamma(issued // K + 1))
             issued += n
         array.fired_updates = stop
 

@@ -18,6 +18,9 @@ trajectory rows and the tol check.  A schedule supplies only the updates, as
 advance(state, stop): `run` steps the schedules below, and
 distributed.run_distributed its delayed workers.  The incremental updates of
 randomk, sweep and the delayed workers all go through `coordinate_kernel`.
+`iterate` measures its rows a window of about 512 updates at a time, from
+snapshots taken at unit ends, and rolls a run back to the row that met tol;
+randomk and the workers draw their coordinates thousands at a time.
 
 Because G' is an isometry and every m is non-expansive, the iteration map has
 Lipschitz constant exactly 1: convergence sits on the boundary.  A homotopy
@@ -315,6 +318,17 @@ def reference_coordinates(system: StationaritySystem,
             np.concatenate([np.broadcast_to(ref, idx.shape) for idx, ref in parts]))
 
 
+# fired updates between two monitoring passes of iterate: a run that meets tol
+# fires on to the end of its window, at most this many updates, before it is
+# rolled back to the row that met it
+_ROW_UPDATES = 512
+
+# coordinates randomk draws per rng.integers call, and lookups the distributed
+# workers draw at a time (whole windows, each worker its share in one call);
+# numpy gives the same stream as one draw per coordinate
+_DRAWS = 4096
+
+
 def iterate(system: StationaritySystem, state: SolverState,
             advance: Callable[[SolverState, int], None],
             max_equiv_iters: float, tol: float,
@@ -326,20 +340,55 @@ def iterate(system: StationaritySystem, state: SolverState,
     K updates.  advance(state, stop) fires updates, counting them in
     state.fired_updates, until it reaches stop (the end of the unit or the
     budget); a step that fires many at once may pass it.
+
+    Rows are measured a window of max(1, _ROW_UPDATES // K) units at a time:
+    the state at each unit end of the window is kept, and the window's rows
+    are measured with one Trajectory.measure call after it, each row bitwise
+    its one-state value.  A window of one unit measures the live state.
+    When a row meets tol before the window's end, the later rows are dropped
+    and state is rolled back to that row, fired_updates included, so the run
+    stops where a row-by-row loop stops.
     """
     K = state.n_coords
     budget = math.ceil(max_equiv_iters * K - 1e-9)
+    window = max(1, _ROW_UPDATES // K)
     ref = reference_coordinates(system, reference)
     traj = Trajectory()
-    while True:
-        state.converged = traj.record(system, state.equivalent_iterations,
-                                      state.d2, state.c2, ref) <= tol
-        unit = state.fired_updates // K
-        if state.converged or state.fired_updates >= budget:
-            return traj
-        advance(state, min((unit + 1) * K, budget))
-        if state.fired_updates // K == unit:   # the budget ended mid-unit
-            return traj
+    state.converged = traj.record(system, state.equivalent_iterations,
+                                  state.d2, state.c2, ref) <= tol
+    rows_d2, rows_c2 = np.empty((2, window, K))   # the window's unit ends
+    while not state.converged and state.fired_updates < budget:
+        fired = []   # fired_updates at each unit end of the window
+        while len(fired) < window and state.fired_updates < budget:
+            unit = state.fired_updates // K
+            advance(state, min((unit + 1) * K, budget))
+            if state.fired_updates // K == unit:   # the budget ended mid-unit
+                break
+            if window > 1:
+                rows_d2[len(fired)], rows_c2[len(fired)] = state.d2, state.c2
+            fired.append(state.fired_updates)
+        if not fired:
+            break
+        if window == 1:   # the live state, with no snapshot
+            state.converged = traj.record(system, state.equivalent_iterations,
+                                          state.d2, state.c2, ref) <= tol
+            continue
+        n = len(fired)
+        objective, residual, dist = Trajectory.measure(
+            system, rows_d2[:n], rows_c2[:n], ref)
+        met = np.flatnonzero(residual <= tol)
+        if len(met):
+            n = int(met[0]) + 1
+            if n < len(fired):   # roll back to the row that met tol
+                state.d2[:], state.c2[:] = rows_d2[n - 1], rows_c2[n - 1]
+                state.fired_updates = fired[n - 1]
+            state.converged = True
+        traj.equiv_iter += [f / K for f in fired[:n]]
+        traj.objective += objective[:n].tolist()
+        traj.residual += residual[:n].tolist()
+        traj.dist_to_ref += ([math.nan] * n if ref is None
+                             else dist[:n].tolist())
+    return traj
 
 
 def run(system: StationaritySystem, schedule: ScheduleConfig,
@@ -363,17 +412,24 @@ def run(system: StationaritySystem, schedule: ScheduleConfig,
                                 if state.fired_updates else schedule.seed)
     if schedule.mode in ("randomk", "sweep"):
         fire = coordinate_kernel(system)
+    ahead = np.empty(0, dtype=np.int64)   # randomk's coordinates drawn ahead
 
     def advance(state: SolverState, stop: int) -> None:
+        nonlocal ahead
         g = schedule.gamma(state.fired_updates // K + 1)
         if schedule.mode == "bernoulli":
             while state.fired_updates < stop:
                 async_tick(state, system, schedule.p, rng, g)
         elif schedule.mode == "sync":   # sync and sweep fire all K at once
             sync_step(state, system, g)
-        else:   # randomk draws its coordinates in one block
-            coords = (rng.integers(K, size=stop - state.fired_updates).tolist()
-                      if schedule.mode == "randomk" else range(K))
+        else:
+            coords = range(K)
+            if schedule.mode == "randomk":
+                n = stop - state.fired_updates
+                if len(ahead) < n:
+                    ahead = np.concatenate(
+                        [ahead, rng.integers(K, size=max(n, _DRAWS))])
+                coords, ahead = ahead[:n].tolist(), ahead[n:]
             fire(state, coords, g)
             state.fired_updates += len(coords)
 

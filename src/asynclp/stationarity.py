@@ -311,8 +311,10 @@ class StationaritySystem:
         l1 = 0.0   # the empty sum, when | . | is every coordinate's base
         if self._base is not np.abs:
             z2 = (d2 + self.nl_sign * c2) / 2.0
+            if self._base is not m1:   # only some coordinates are l1
+                z2 = z2[..., self.nl_is_l1]
             # C-ordered, so that each row of a stack sums as one vector does
-            l1 = np.ascontiguousarray(np.abs(z2[..., self.nl_is_l1])).sum(axis=-1)
+            l1 = np.ascontiguousarray(np.abs(z2)).sum(axis=-1)
         value = (np.matmul(self.objective_c2, c2[..., None])[..., 0]
                  + self.objective_0 + l1)
         return float(value) if value.ndim == 0 else value

@@ -276,6 +276,11 @@ _EXPERIMENT = ["experiment", "--preset", "chebyshev", "--n", "3", "--m", "6",
     ["experiment", "--preset", "bp", "--trials", "1", "--m", "0"],
     _EXPERIMENT + ["--max-equiv-iters", "-1"],
     _EXPERIMENT + ["--max-equiv-iters", "0.5"],
+    # no residual is ever at or below these, so the whole budget is spent
+    ["solve", "--tol", "nan"],
+    ["solve", "--tol", "-1"],
+    _EXPERIMENT + ["--tol", "nan"],
+    _EXPERIMENT + ["--tol", "-1"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_bad_flag_values_are_usage_errors(argv, lp_file, tmp_path, capsys):
     # refused before anything is written, as exit 2 (exit 1 means "NOT

@@ -81,6 +81,34 @@ def test_block_draws_equal_scalar_draws(K):
     assert block.integers(2**40) == scalar.integers(2**40)
 
 
+def test_workers_draw_many_windows_at_a_time(monkeypatch):
+    # each worker draws the lookups of many windows of K in one call (the
+    # eager-model tests pin them against one scalar draw per lookup)
+    calls = []
+    default_rng = np.random.default_rng
+
+    class Counted:
+        def __init__(self, *args):
+            self.rng = default_rng(*args)
+
+        def integers(self, *args, **kwargs):
+            calls.append(1)
+            return self.rng.integers(*args, **kwargs)
+
+    system = _small_system(seed=2)
+
+    def run():
+        return ds.run_distributed(system, workers=3, max_equiv_iters=300,
+                                  tol=0.0, seed=4, homotopy="bp")
+
+    want = run()
+    monkeypatch.setattr(np.random, "default_rng", Counted)
+    got = run()
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert sum(r.updates for r in got[3]) == 300 * system.n_nonlinear
+    assert 0 < len(calls) < 300   # windows of K lookups
+
+
 # ---------------------------------------------------------------------------
 # runs
 

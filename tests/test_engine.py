@@ -257,6 +257,115 @@ def test_resumed_run_does_not_replay_its_firing_pattern(seed):
 
 
 # ---------------------------------------------------------------------------
+# rows measured a window at a time
+
+_WINDOW_SYSTEMS = {
+    "cheb": lambda: build_system(chebyshev_encode(
+        gen_chebyshev(4, 8, seed=0))),
+    "bp": lambda: build_system(basis_pursuit_encode(
+        gen_basis_pursuit(64, 32, 4, seed=3))),
+}
+# a ramp longer than the runs, so that every schedule's residual keeps
+# reaching new lows, at every position in a window
+_RAMP = "ramp:0.5:1000"
+
+
+def _outcome(system, schedule, budget, tol, reference=None, state=None):
+    """What a run returns, as bytes and plain values; `state` is resumed from
+    a copy."""
+    if schedule.startswith("distributed"):
+        d2, c2, traj, reports, converged = run_distributed(
+            system, workers=int(schedule[-1]), max_equiv_iters=budget, tol=tol,
+            seed=5, homotopy=_RAMP, reference=reference)
+        updates = [r.to_dict() for r in reports]
+    else:
+        config = engine.ScheduleConfig(mode=schedule, p=0.5, seed=5,
+                                       homotopy=_RAMP)
+        if state is not None:
+            state = engine.SolverState(c2=state.c2.copy(), d2=state.d2.copy(),
+                                       fired_updates=state.fired_updates)
+        state, traj = engine.run(system, config, max_equiv_iters=budget,
+                                 tol=tol, reference=reference, state=state)
+        d2, c2, converged, updates = (state.d2, state.c2, state.converged,
+                                      state.fired_updates)
+    return {"d2": d2.tobytes(), "c2": c2.tobytes(), "converged": converged,
+            "updates": updates,   # counted per worker in a distributed run
+            "rows": [np.asarray(col).tobytes() for col in
+                     (traj.equiv_iter, traj.objective, traj.residual,
+                      traj.dist_to_ref)]}
+
+
+@pytest.mark.parametrize("schedule", ["sync", "sweep", "bernoulli", "randomk",
+                                      "distributed:1", "distributed:3"])
+@pytest.mark.parametrize("kind", _WINDOW_SYSTEMS)
+def test_windowed_rows_equal_per_unit_rows(kind, schedule, monkeypatch):
+    # rows measured a window at a time, with the run rolled back to the row
+    # that met tol, give bitwise what measuring after every unit gives
+    system = _WINDOW_SYSTEMS[kind]()
+    window = engine._ROW_UPDATES // system.n_nonlinear
+    assert window >= 3
+
+    def both(budget, tol, **kwargs):
+        windowed = _outcome(system, schedule, budget, tol, **kwargs)
+        monkeypatch.setattr(engine, "_ROW_UPDATES", 1)   # a row every unit
+        per_unit = _outcome(system, schedule, budget, tol, **kwargs)
+        monkeypatch.undo()
+        assert windowed == per_unit, (budget, tol, kwargs)
+        return windowed
+
+    # aim tol at a row 0, and at the first, a middle and the last unit of a
+    # window: the first row at or below a residual is its first new low
+    budget = 4 * window
+    residual = np.frombuffer(both(budget, 0.0)["rows"][2])
+    lows = np.flatnonzero(residual < np.minimum.accumulate(
+        np.concatenate([[np.inf], residual[:-1]])))
+    targets = [0]
+    for position in (0, window // 2, window - 1):
+        rows = lows[(lows > 0) & ((lows - 1) % window == position)]
+        assert len(rows), position
+        targets.append(rows[0])
+    for row in targets:
+        out = both(budget, residual[row])
+        assert out["converged"]
+        assert len(np.frombuffer(out["rows"][2])) == row + 1
+
+    both(2.4, 0.0)                 # the budget ends mid-unit in a window,
+    both(window + 1.5, 0.0)        # ... in a later window,
+    both(2 * window, 0.0)          # ... and on a window's last unit
+    reference = {v.name: np.full(v.length, 0.25)
+                 for v in system.problem.specs()}
+    both(budget, residual[targets[2]], reference=reference)
+    both(budget, 0.0, reference=reference)
+    if not schedule.startswith("distributed"):
+        # resumed mid-unit, so that its windows start off the first run's
+        state = engine.init_state(system)
+        engine.run(system, engine.ScheduleConfig(mode="randomk", seed=1),
+                   max_equiv_iters=1.3, tol=0.0, state=state)
+        both(budget + 1.7, 0.0, state=state)
+        both(budget + 1.7, residual[targets[3]], state=state)
+
+
+def test_randomk_measures_rows_a_window_at_a_time(monkeypatch):
+    # K = 21: a window is 24 units, so a U-unit run measures about U / 24
+    # times, not once a unit
+    system = build_system(chebyshev_encode(gen_chebyshev(10, 20, seed=0)))
+    assert system.n_nonlinear == 21
+    calls = []
+    measure = engine.Trajectory.measure
+
+    def counted(*args):
+        calls.append(1)
+        return measure(*args)
+
+    monkeypatch.setattr(engine.Trajectory, "measure", staticmethod(counted))
+    units = 250
+    state, traj = engine.run(system, engine.ScheduleConfig(mode="randomk"),
+                             max_equiv_iters=units, tol=0.0)
+    assert len(traj) == units + 1
+    assert len(calls) <= -(-units // 24) + 2
+
+
+# ---------------------------------------------------------------------------
 # stacked trials
 
 def _same(a, b) -> bool:

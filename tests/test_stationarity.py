@@ -439,15 +439,24 @@ def _objective_with_l1_sum(system, d2, c2):
 
 
 def test_objective_is_the_l1_sum_formula_bitwise():
+    # the l1 sum skips the gather of l1 coordinates when none is l1 and when
+    # all are (basis pursuit, measured once per unit as a (T, K) stack)
     rng = np.random.default_rng(23)
     problems = [random_async_problem(rng) for _ in range(6)]
     problems += [chebyshev_encode(gen_chebyshev(10, 20, seed=2)),
                  to_asynchronous_form(random_standard_lp(rng)),
-                 basis_pursuit_encode(gen_basis_pursuit(16, 8, 2, seed=1))]
+                 basis_pursuit_encode(gen_basis_pursuit(16, 8, 2, seed=1)),
+                 AsyncFormProblem(
+                     B=rng.normal(size=(3, 3)),
+                     inputs=(VariableSpec("x", Role.INPUT, Kind.L1_COST, 2),
+                             VariableSpec("u", Role.INPUT, Kind.FIXED, 1,
+                                          rho=np.array([1.0]))),
+                     outputs=(VariableSpec("y", Role.OUTPUT,
+                                           Kind.NON_NEGATIVE, 3),))]
     kinds = set()
     for problem in problems:
         system = st.build_system(problem)
-        kinds.add(bool(system.nl_is_l1.any()))
+        kinds.add((bool(system.nl_is_l1.any()), bool(system.nl_is_l1.all())))
         K = system.n_nonlinear
         d2 = rng.normal(scale=2.0, size=(7, K))
         c2 = rng.normal(scale=2.0, size=(7, K))
@@ -457,7 +466,7 @@ def test_objective_is_the_l1_sum_formula_bitwise():
             got, want = system.objective(*args), _objective_with_l1_sum(system, *args)
             assert type(got) is type(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-    assert kinds == {False, True}
+    assert kinds == {(False, False), (True, False), (True, True)}
 
 
 def test_monitoring_map_equals_full_recovery():
