@@ -177,17 +177,16 @@ def _battery(args, groups):
     group, in trial order.
 
     Trial t draws seed seed + t for its instance and its schedule, and is set
-    up once for all groups.  `sync` and `bernoulli` batteries run as stacked
-    chunks of trials through engine.run_trials, bitwise the per-trial runs,
-    each chunk built when the one before it is done; the other modes run
-    each trial alone.
+    up once for all groups.  The engine modes run as stacked chunks of trials
+    through engine.run_trials, bitwise the per-trial runs, each chunk built
+    when the one before it is done; distributed runs each trial alone.
     """
     def trials():
         for t in range(args.trials):
             inst = _gen_instance(args, args.seed + t)
             yield args.seed + t, build_system(encode(inst)), _reference_for(inst)
 
-    if args.mode not in ("sync", "bernoulli"):
+    if args.mode == "distributed":
         for seed, system, reference in trials():
             for label, p in groups:
                 result, traj = _run_once(system, args, seed, p, reference)
@@ -433,6 +432,22 @@ def main(argv=None) -> int:
         if unknown:
             command.error(f"config key(s) name no flag of {args.command!r}: "
                           + ", ".join(unknown))
+        # argparse passes a value that is not a string on as it is: it must
+        # be one the flag's type gives back from its text (500 for a float
+        # flag, [0.2, 0.5] for --p-list); switches (nargs 0) take any value
+        for action in command._actions:
+            value = config.get(action.dest)
+            if action.dest in config and action.nargs != 0 \
+                    and not isinstance(value, str):
+                text = ",".join(map(str, value)) if isinstance(value, list) \
+                    else str(value)
+                try:
+                    taken = (action.type or str)(text) == value
+                except ValueError:
+                    taken = False
+                if not taken:
+                    command.error(f"config key {action.dest!r}: invalid value "
+                                  f"{value!r}")
         # config values become flag defaults, so explicit flags still win and
         # string values go through the flag's type
         command.set_defaults(**config)

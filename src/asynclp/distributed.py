@@ -34,9 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (_DRAWS, SolverState, Trajectory, coordinate_kernel,
-                     iterate, make_gamma)
+from .engine import (SolverState, Trajectory, coordinate_kernel, iterate,
+                     make_gamma)
 from .stationarity import StationaritySystem
+
+
+# lookups the workers draw at a time (whole windows, each worker its share in
+# one call); numpy gives the same stream as one draw per lookup
+_DRAWS = 4096
 
 
 class AssocArray(SolverState):
@@ -96,9 +101,10 @@ def run_distributed(system: StationaritySystem, workers: int = 1,
     otherwise.  Lookup j belongs to worker j % workers.  Lookups are issued in
     windows of K, and a window takes gamma for the equivalent iteration in
     which it is issued.  Each worker draws its coordinates for _DRAWS // K
-    windows in one block (the same stream as one draw per lookup).  Lookups
-    still in flight when engine.iterate stops, at tol or budget, are never
-    applied.
+    windows in one block (the same stream as one draw per lookup); a block
+    is counted into the reports, and dropped, once its lookups are applied.
+    Lookups still in flight when engine.iterate stops, at tol or budget, are
+    never applied.
 
     Returns (d2, c2, trajectory, reports, converged); reports count applied
     updates and are empty when none was applied.
@@ -113,31 +119,44 @@ def run_distributed(system: StationaritySystem, workers: int = 1,
             for i in range(workers)]
     fire = coordinate_kernel(system, workers - 1, eta)
     size = K * max(1, _DRAWS // K)     # lookups drawn at a time: whole windows
-    blocks: list[np.ndarray] = []      # coordinates of every lookup drawn
+    blocks = {}   # coordinates of the lookups drawn and not yet counted, by block
+    hist = np.zeros((workers, K), dtype=np.int64)   # applied lookups per worker
     issued = 0
 
-    def advance(array: AssocArray, stop: int) -> None:
-        # update j applies lookup j, once lookups up to j + W - 1 are issued
-        nonlocal issued
-        while issued < stop + workers - 1:
-            b, at = divmod(issued, size)
-            if b == len(blocks):   # each worker draws its lookups of block b
-                block = np.empty(size, dtype=np.int64)
-                for i, rng in enumerate(rngs):
-                    mine = block[(i - b * size) % workers::workers]
-                    mine[:] = rng.integers(K, size=len(mine))
-                blocks.append(block)
-            n = min(K - issued % K, stop + workers - 1 - issued)
-            fire(array, blocks[b][at:at + n].tolist(), gamma(issued // K + 1))
-            issued += n
-        array.fired_updates = stop
-
-    traj = iterate(system, array, advance, max_equiv_iters, tol, reference)
-    reports = []
-    if array.fired_updates:   # the applied updates: lookups 0, 1, ...
-        drawn = np.concatenate(blocks)[:array.fired_updates]
+    def count(b: int, n: int) -> None:   # the first n lookups of block b
+        block = blocks.pop(b)[:n]
         for i in range(workers):
-            hist = np.bincount(drawn[i::workers], minlength=K)
-            reports.append(WorkerReport(i, int(hist.sum()), hist.tolist()))
+            hist[i] += np.bincount(block[(i - b * size) % workers::workers],
+                                   minlength=K)
+
+    def advance(live, trial, fired, budget, units):
+        applied = int(fired[0])   # no roll-back goes below it
+        for b in [b for b in blocks if (b + 1) * size <= applied]:
+            count(b, size)
+        # to each unit end, and to the budget
+        marks = np.clip(K * (applied // K + np.arange(units + 1)), applied, budget)
+        d2, c2, stops = live.d2, live.c2, marks[1:].tolist()
+
+        def tick(w: int) -> None:
+            # update j applies lookup j, once lookups up to j + W - 1 are issued
+            nonlocal issued
+            while issued < stops[w] + workers - 1:
+                b, at = divmod(issued, size)
+                if at == 0:   # each worker draws its lookups of block b
+                    block = blocks[b] = np.empty(size, dtype=np.int64)
+                    for i, rng in enumerate(rngs):
+                        mine = block[(i - b * size) % workers::workers]
+                        mine[:] = rng.integers(K, size=len(mine))
+                n = min(K - issued % K, stops[w] + workers - 1 - issued)
+                fire(d2, c2, blocks[b][at:at + n].tolist(), gamma(issued // K + 1))
+                issued += n
+
+        return marks[None], tick
+
+    traj, = iterate([system], array, advance, max_equiv_iters, tol, [reference])
+    for b in list(blocks):   # the applied lookups of the blocks left
+        count(b, max(0, array.fired_updates - b * size))
+    reports = [WorkerReport(i, int(h.sum()), h.tolist()) for i, h in enumerate(hist)
+               if array.fired_updates]
     return (array.snapshot_d2(), array.snapshot_c2(), traj, reports,
             array.converged)

@@ -13,14 +13,15 @@ probability p per tick (bernoulli) or one uniformly chosen coordinate per step
 (randomk).  Progress across schedules is compared in equivalent iterations:
 total fired coordinate updates divided by the number of nonlinear coordinates.
 
-Every schedule runs through one loop, `iterate`, which owns the budget, the
-trajectory rows and the tol check.  A schedule supplies only the updates, as
-advance(state, stop): `run` steps the schedules below, and
-distributed.run_distributed its delayed workers.  The incremental updates of
-randomk, sweep and the delayed workers all go through `coordinate_kernel`.
-`iterate` measures its rows a window of about 512 updates at a time, from
-snapshots taken at unit ends, and rolls a run back to the row that met tol;
-randomk and the workers draw their coordinates thousands at a time.
+Every schedule runs through one loop, `iterate`, over a stack of trials.  It
+owns each trial's budget, trajectory rows, tol check and stop; a schedule
+supplies only its updates, as a step that reports each trial's fired counts
+over a window of ticks, then applies them.  `run` is a stack of one trial and
+`run_trials` a battery of one mode.  sync and bernoulli trials tick as one
+(T, K) array; randomk, sweep and the delayed workers of
+distributed.run_distributed fire through `coordinate_kernel`.  Rows are
+measured a window at a time, and a trial is rolled back to the row that met
+tol.
 
 Because G' is an isometry and every m is non-expansive, the iteration map has
 Lipschitz constant exactly 1: convergence sits on the boundary.  A homotopy
@@ -132,25 +133,32 @@ class ScheduleConfig:
 
 @dataclass
 class SolverState:
-    """Iteration state over the nonlinear coordinates."""
+    """Iteration state over the nonlinear coordinates: one trial's vectors,
+    or a stack of trials' as the rows of (T, K) arrays, with per-trial
+    fired_updates and converged arrays."""
 
     c2: np.ndarray
     d2: np.ndarray
-    fired_updates: int = 0
-    converged: bool | None = None
+    fired_updates: int | np.ndarray = 0
+    converged: bool | np.ndarray | None = None
 
     @property
     def n_coords(self) -> int:
-        return len(self.c2)
+        return self.c2.shape[-1]
 
     @property
-    def equivalent_iterations(self) -> float:
-        return self.fired_updates / len(self.c2)
+    def equivalent_iterations(self):
+        return self.fired_updates / self.n_coords
 
 
-def init_state(system: StationaritySystem) -> SolverState:
-    """Start at c2 = 0, d2 = e (required for sync/incremental equivalence)."""
-    return SolverState(c2=np.zeros(system.n_nonlinear), d2=system.e.copy())
+def init_state(system: StationaritySystem | list[StationaritySystem]) -> SolverState:
+    """Start at c2 = 0, d2 = e (required for sync/incremental equivalence);
+    a list of systems of one shape gives a stack, one cold start a row."""
+    if isinstance(system, StationaritySystem):
+        return SolverState(c2=np.zeros(system.n_nonlinear), d2=system.e.copy())
+    return SolverState(c2=np.zeros((len(system), system[0].n_nonlinear)),
+                       d2=np.stack([s.e for s in system]),
+                       fired_updates=np.zeros(len(system), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +185,10 @@ def simultaneous_sweep_step(state: SolverState, system: StationaritySystem,
 
 
 def coordinate_kernel(system: StationaritySystem, delay: int = 0, eta: float = 1.0,
-                      ) -> Callable[[SolverState, object, float], None]:
-    """fire(state, coords, gamma): the incremental updates of randomk, sweep
-    and the distributed workers, one coordinate of `coords` after another.
+                      ) -> Callable[[np.ndarray, np.ndarray, object, float], None]:
+    """fire(d2, c2, coords, gamma): the incremental updates of randomk, sweep
+    and the distributed workers on one state's vectors, one coordinate of
+    `coords` after another.
 
     Coordinate k reads d_hat = d2(k) and c_hat = c2(k) when it is fired; its
     delta = eta (m_k(d_hat) - c_hat) is applied, d2 += G'[:, k] delta and
@@ -195,9 +204,9 @@ def coordinate_kernel(system: StationaritySystem, delay: int = 0, eta: float = 1
     slot, step = 0, np.empty(system.n_nonlinear)
     add, multiply = np.add, np.multiply
 
-    def fire(state: SolverState, coords, gamma: float) -> None:
+    def fire(d2: np.ndarray, c2_out: np.ndarray, coords, gamma: float) -> None:
         nonlocal slot
-        d2, c2 = state.d2, state.c2.tolist()
+        c2 = c2_out.tolist()
         for k in coords:
             d = d2.item(k)
             if is_l1[k]:
@@ -212,7 +221,7 @@ def coordinate_kernel(system: StationaritySystem, delay: int = 0, eta: float = 1
                 k = ring_k[slot]
                 add(d2, multiply(columns[k], delta, step), d2)
                 c2[k] += delta
-        state.c2[:] = c2
+        c2_out[:] = c2
 
     return fire
 
@@ -220,28 +229,28 @@ def coordinate_kernel(system: StationaritySystem, delay: int = 0, eta: float = 1
 def incremental_step(state: SolverState, system: StationaritySystem, k: int,
                      gamma: float = 1.0) -> None:
     """Fire coordinate k against the current state (column-increment form)."""
-    coordinate_kernel(system)(state, (k,), gamma)
+    coordinate_kernel(system)(state.d2, state.c2, (k,), gamma)
     state.fired_updates += 1
 
 
 def sweep_step(state: SolverState, system: StationaritySystem, gamma: float = 1.0) -> None:
     """One in-order pass of incremental updates (each sees the latest d2)."""
-    coordinate_kernel(system)(state, range(state.n_coords), gamma)
+    coordinate_kernel(system)(state.d2, state.c2, range(state.n_coords), gamma)
     state.fired_updates += state.n_coords
 
 
-def async_tick(state: SolverState, system: StationaritySystem, p: float,
-               rng: np.random.Generator, gamma: float = 1.0) -> int:
-    """Bernoulli tick: each coordinate fires independently with probability p.
+def async_tick(state: SolverState, system: StationaritySystem,
+               fires: np.ndarray, gamma: float = 1.0) -> int:
+    """Bernoulli tick: the coordinates where `fires` is True fire.
 
+    `fires` is the tick's draw, rng.random(K) < p for firing probability p.
     Fired coordinates resample c2_k from the current d2; the rest hold their
     previous value; then d2 is rebuilt from the full c2.  Returns the number
     of coordinates that fired.
     """
-    fires = rng.random(state.n_coords) < p
     state.c2 = np.where(fires, system.m(state.d2, gamma), state.c2)
     state.d2 = system.Gprime @ state.c2 + system.e
-    fired = int(fires.sum())
+    fired = int(np.count_nonzero(fires))
     state.fired_updates += fired
     return fired
 
@@ -318,77 +327,197 @@ def reference_coordinates(system: StationaritySystem,
             np.concatenate([np.broadcast_to(ref, idx.shape) for idx, ref in parts]))
 
 
-# fired updates between two monitoring passes of iterate: a run that meets tol
-# fires on to the end of its window, at most this many updates, before it is
-# rolled back to the row that met it
+# fired updates between two monitoring passes of iterate, and the fewest units
+# a window takes: a trial that meets tol fires on to the end of its window
+# before it is rolled back to the row that met it, and a window's bookkeeping
+# (a few dozen small numpy calls) costs a fifth of a unit at K = 512
 _ROW_UPDATES = 512
-
-# coordinates randomk draws per rng.integers call, and lookups the distributed
-# workers draw at a time (whole windows, each worker its share in one call);
-# numpy gives the same stream as one draw per coordinate
-_DRAWS = 4096
+_ROW_UNITS = 4
 
 
-def iterate(system: StationaritySystem, state: SolverState,
-            advance: Callable[[SolverState, int], None],
-            max_equiv_iters: float, tol: float,
-            reference: dict[str, np.ndarray] | None = None) -> Trajectory:
-    """The run loop of every schedule; sets state.converged.
+def iterate(systems: list[StationaritySystem], state: SolverState,
+            advance: Callable, max_equiv_iters: float, tol: float,
+            references: list | None = None) -> list[Trajectory]:
+    """The run loop of every schedule, over a stack of trials; returns each
+    trial's trajectory and sets state.fired_updates and state.converged.
 
-    The budget is ceil(max_equiv_iters * K) fired updates in all.  A row is
-    recorded and tol checked at the start and after each completed unit of
-    K updates.  advance(state, stop) fires updates, counting them in
-    state.fired_updates, until it reaches stop (the end of the unit or the
-    budget); a step that fires many at once may pass it.
+    Trial i runs on systems[i] from row i of the stack `state` (a state of
+    one vector is one trial), and ends as that row.  Its budget is
+    ceil(max_equiv_iters * K) fired updates.  A row is recorded and tol
+    checked at the start and after each tick that ends a unit of K updates.
+    A trial stops at its first row at tol (converged) or after the tick
+    that reaches its budget.
 
-    Rows are measured a window of max(1, _ROW_UPDATES // K) units at a time:
-    the state at each unit end of the window is kept, and the window's rows
-    are measured with one Trajectory.measure call after it, each row bitwise
-    its one-state value.  A window of one unit measures the live state.
-    When a row meets tol before the window's end, the later rows are dropped
-    and state is rolled back to that row, fired_updates included, so the run
-    stops where a row-by-row loop stops.
+    The live trials tick in lockstep, a window at a time: advance(live,
+    trial, fired, budget, units) gets their stack (a vector when `state` is
+    one), their indices, their fired_updates and the window's length,
+    max(_ROW_UNITS, _ROW_UPDATES // K) units, and returns `marks`, their
+    fired_updates at the window's start and after each of its W ticks ((n,
+    W + 1)), and tick(w), which applies tick w to the stack.  The window's
+    rows are measured after it, from the stack kept after each tick: one
+    Trajectory.measure call per owner (trials that share a system and a
+    reference object), each row bitwise its one-state value.  A trial that
+    stopped inside the window is rolled back to its stop, fired_updates
+    included, and leaves the stack.
     """
-    K = state.n_coords
+    T, K = len(systems), state.n_coords
     budget = math.ceil(max_equiv_iters * K - 1e-9)
-    window = max(1, _ROW_UPDATES // K)
-    ref = reference_coordinates(system, reference)
-    traj = Trajectory()
-    state.converged = traj.record(system, state.equivalent_iterations,
-                                  state.d2, state.c2, ref) <= tol
-    rows_d2, rows_c2 = np.empty((2, window, K))   # the window's unit ends
-    while not state.converged and state.fired_updates < budget:
-        fired = []   # fired_updates at each unit end of the window
-        while len(fired) < window and state.fired_updates < budget:
-            unit = state.fired_updates // K
-            advance(state, min((unit + 1) * K, budget))
-            if state.fired_updates // K == unit:   # the budget ended mid-unit
-                break
-            if window > 1:
-                rows_d2[len(fired)], rows_c2[len(fired)] = state.d2, state.c2
-            fired.append(state.fired_updates)
-        if not fired:
-            break
-        if window == 1:   # the live state, with no snapshot
-            state.converged = traj.record(system, state.equivalent_iterations,
-                                          state.d2, state.c2, ref) <= tol
-            continue
-        n = len(fired)
-        objective, residual, dist = Trajectory.measure(
-            system, rows_d2[:n], rows_c2[:n], ref)
-        met = np.flatnonzero(residual <= tol)
-        if len(met):
-            n = int(met[0]) + 1
-            if n < len(fired):   # roll back to the row that met tol
-                state.d2[:], state.c2[:] = rows_d2[n - 1], rows_c2[n - 1]
-                state.fired_updates = fired[n - 1]
-            state.converged = True
-        traj.equiv_iter += [f / K for f in fired[:n]]
-        traj.objective += objective[:n].tolist()
-        traj.residual += residual[:n].tolist()
-        traj.dist_to_ref += ([math.nan] * n if ref is None
-                             else dist[:n].tolist())
-    return traj
+    units = max(_ROW_UNITS, _ROW_UPDATES // K)
+    references = references or [None] * T
+    seen = {}   # trials that share a system and a reference share an owner
+    owner = np.array([seen.setdefault((id(s), id(r)), i)
+                      for i, (s, r) in enumerate(zip(systems, references))])
+    refs = [reference_coordinates(s, r) for s, r in zip(systems, references)]
+    # each trial's state where it stops, written into `state` in place
+    d2, c2 = state.d2.reshape(T, K), state.c2.reshape(T, K)
+    fired = np.zeros(T, dtype=np.int64) + state.fired_updates
+    converged = np.zeros(T, dtype=bool)
+    kept = []   # (trial, fired, objective, residual, dist) of the rows kept
+    trial = np.argsort(owner, kind="stable")   # live, each owner's together
+    live = SolverState(c2=c2[trial].reshape(state.c2.shape),   # one state stays
+                       d2=d2[trial].reshape(state.d2.shape))   # a vector
+    count = fired[trial]   # the live trials' fired_updates
+    while len(trial):
+        marks, tick = advance(live, trial, count, budget, units)
+        W = marks.shape[1] - 1
+        unit, spent = marks // K, marks >= budget
+        # the rows at marks[:, j]: at the start, then at the ticks that end a
+        # unit, none after the budget's end; each trial stops at the first
+        # mark at its budget, or not in this window (W + 1)
+        row = np.empty(marks.shape, dtype=bool)
+        row[:, 0] = not kept   # the first window records each trial's row 0
+        row[:, 1:] = (unit[:, 1:] > unit[:, :-1]) & ~spent[:, :-1]
+        stop = W + 1 - spent.sum(axis=1)
+        # the stack is kept at the start and after the ticks a trial needs
+        keep_at = (row[:, 1:] | spent[:, 1:] & ~spent[:, :-1]).any(axis=0)
+        kept_d2, kept_c2 = np.empty((2, len(trial), W + 1, K))
+        kept_d2[:, 0], kept_c2[:, 0] = live.d2, live.c2
+        for w, keep in enumerate(keep_at.tolist()):
+            tick(w)
+            if keep:
+                kept_d2[:, w + 1], kept_c2[:, w + 1] = live.d2, live.c2
+        i, j = np.nonzero(row)   # each trial's rows in order
+        if len(i):
+            rows = [trial[i], marks[i, j], *np.empty((3, len(i)))]
+            own = owner[rows[0]]   # each owner's rows measured together
+            cuts = [0, len(i)]
+            if len(seen) > 1:
+                cuts[1:1] = (np.flatnonzero(own[1:] != own[:-1]) + 1).tolist()
+            for a, b in zip(cuts, cuts[1:]):
+                rows[2][a:b], rows[3][a:b], rows[4][a:b] = Trajectory.measure(
+                    systems[own[a]], kept_d2[i[a:b], j[a:b]],
+                    kept_c2[i[a:b], j[a:b]], refs[own[a]])
+            met = rows[3] <= tol
+            if met.any():   # a trial stops at its first row at tol
+                first = np.full(len(trial), W + 1)
+                np.minimum.at(first, i[met], j[met])
+                converged[trial[first <= W]] = True
+                stop = np.minimum(stop, first)
+                rows = [a[j <= stop[i]] for a in rows]
+            kept.append(rows)
+        gone = stop <= W
+        count = marks[:, -1]
+        if gone.any():   # rolled back to their stops, they leave the stack
+            i = np.flatnonzero(gone)
+            d2[trial[i]], c2[trial[i]] = kept_d2[i, stop[i]], kept_c2[i, stop[i]]
+            fired[trial[i]] = marks[i, stop[i]]
+            keep = ~gone
+            trial, count = trial[keep], count[keep]
+            if len(trial):
+                live = SolverState(c2=live.c2[keep], d2=live.d2[keep])
+
+    if state.d2.ndim == 1:
+        state.fired_updates, state.converged = int(fired[0]), bool(converged[0])
+    else:
+        state.fired_updates, state.converged = fired, converged
+    trial, at, objective, residual, dist = (np.concatenate(a) for a in zip(*kept))
+    order = np.argsort(trial, kind="stable")
+    bounds = np.cumsum(np.bincount(trial, minlength=T))[:-1]
+    columns = [np.split(a[order], bounds)
+               for a in (at / K, objective, residual, dist)]
+    return [Trajectory(*(col[t].tolist() for col in columns)) for t in range(T)]
+
+
+def _engine_step(systems: list[StationaritySystem],
+                 schedules: list[ScheduleConfig], state: SolverState):
+    """iterate's advance for trials of one engine mode: trial i follows
+    schedules[i] on systems[i] from row i of `state`, drawing from
+    default_rng(seed), or from [seed, fired_updates] when it resumes.
+
+    A window is `units` ticks of K updates (randomk fires to each unit end,
+    and stops at the budget), or as many Bernoulli ticks as the largest p
+    takes to fire that many units on average.  A tick takes gamma of the
+    unit it starts in.  sync and bernoulli trials tick as one stack, and one
+    state steps with sync_step or async_tick; randomk and sweep trials fire
+    through coordinate_kernel, one after another.
+    """
+    mode, K = schedules[0].mode, state.n_coords
+    rngs = [np.random.default_rng([s.seed, f] if f else s.seed) for s, f
+            in zip(schedules, np.reshape(state.fired_updates, -1).tolist())]
+    # gamma by unit, one table row per distinct schedule, grown as units are reached
+    gammas = {}
+    gamma_row = np.array([gammas.setdefault(s.gamma, len(gammas))
+                          for s in schedules])
+    table = np.empty((len(gammas), 0))
+    stacked = ((), ())   # the live trials' G' and e, stacked
+    if mode in ("randomk", "sweep"):
+        kernels = [coordinate_kernel(s) for s in systems]
+
+    def advance(live: SolverState, trial: np.ndarray, fired: np.ndarray,
+                budget: int, units: int):
+        nonlocal table, stacked
+        fired = fired[:, None]
+        if mode == "bernoulli":
+            ticks = math.ceil(units / max(schedules[t].p for t in trial.tolist()))
+            fires = np.stack([rngs[t].random((ticks, K)) < schedules[t].p
+                              for t in trial.tolist()])
+            marks = np.cumsum(np.concatenate([fired, fires.sum(axis=2)], axis=1),
+                              axis=1)
+        else:
+            marks = fired + K * np.arange(units + 1)
+            if mode == "randomk":   # to each unit end, and to the budget
+                marks[:, 1:] = np.minimum(marks[:, 1:] - fired % K, budget)
+        unit = marks[:, :-1] // K   # gamma(unit + 1) is table[:, unit]
+        if unit.max() >= table.shape[1]:
+            n = max(int(unit.max()) + 1, 2 * table.shape[1])
+            table = np.array([[fn(u) for u in range(1, n + 1)] for fn in gammas])
+        gamma = table[gamma_row[trial][:, None], unit]
+
+        if mode in ("sync", "bernoulli") and live.c2.ndim == 1:   # one state
+            system, gamma = systems[0], gamma[0].tolist()
+            if mode == "sync":
+                return marks, lambda w: sync_step(live, system, gamma[w])
+            return marks, lambda w: async_tick(live, system, fires[0, w], gamma[w])
+        if mode in ("sync", "bernoulli"):
+            if len(stacked[1]) != len(trial):
+                stacked = [np.stack([getattr(systems[t], name) for t in trial.tolist()])
+                           for name in ("Gprime", "e")]
+
+            def tick(w: int) -> None:   # each trial's product with its own G'
+                c2 = systems[0].m(live.d2, gamma[:, w, None])
+                live.c2 = c2 if mode == "sync" else np.where(fires[:, w], c2,
+                                                             live.c2)
+                live.d2 = np.matmul(stacked[0], live.c2[..., None])[..., 0] + stacked[1]
+
+            return marks, tick
+
+        # each trial's coordinates of the window, and where each tick ends
+        gamma, ends = gamma.tolist(), (marks - fired).tolist()
+        coords = ([rngs[t].integers(K, size=ends[i][-1])
+                   for i, t in enumerate(trial.tolist())] if mode == "randomk"
+                  else [np.tile(np.arange(K), units)] * len(trial))
+
+        fire = [(kernels[t], live.d2.reshape(-1, K)[i], live.c2.reshape(-1, K)[i])
+                for i, t in enumerate(trial.tolist())]   # on each trial's row
+
+        def tick(w: int) -> None:
+            for i, (kernel, d2, c2) in enumerate(fire):
+                kernel(d2, c2, coords[i][ends[i][w]:ends[i][w + 1]].tolist(),
+                       gamma[i][w])
+
+        return marks, tick
+
+    return advance
 
 
 def run(system: StationaritySystem, schedule: ScheduleConfig,
@@ -403,80 +532,30 @@ def run(system: StationaritySystem, schedule: ScheduleConfig,
     instead of the cold start (c2=0, d2=e) and draws from the stream
     [seed, fired_updates], so that chunks do not replay one firing pattern.
     Returns (state, trajectory); state.converged records whether tol was
-    reached within budget.
+    reached within budget.  One trial of iterate.
     """
     if state is None:
         state = init_state(system)
-    K = state.n_coords
-    rng = np.random.default_rng([schedule.seed, state.fired_updates]
-                                if state.fired_updates else schedule.seed)
-    if schedule.mode in ("randomk", "sweep"):
-        fire = coordinate_kernel(system)
-    ahead = np.empty(0, dtype=np.int64)   # randomk's coordinates drawn ahead
-
-    def advance(state: SolverState, stop: int) -> None:
-        nonlocal ahead
-        g = schedule.gamma(state.fired_updates // K + 1)
-        if schedule.mode == "bernoulli":
-            while state.fired_updates < stop:
-                async_tick(state, system, schedule.p, rng, g)
-        elif schedule.mode == "sync":   # sync and sweep fire all K at once
-            sync_step(state, system, g)
-        else:
-            coords = range(K)
-            if schedule.mode == "randomk":
-                n = stop - state.fired_updates
-                if len(ahead) < n:
-                    ahead = np.concatenate(
-                        [ahead, rng.integers(K, size=max(n, _DRAWS))])
-                coords, ahead = ahead[:n].tolist(), ahead[n:]
-            fire(state, coords, g)
-            state.fired_updates += len(coords)
-
-    return state, iterate(system, state, advance, max_equiv_iters, tol,
-                          reference)
+    traj, = iterate([system], state, _engine_step([system], [schedule], state),
+                    max_equiv_iters, tol, [reference])
+    return state, traj
 
 
 # ---------------------------------------------------------------------------
 # stacked trials
 
-# ticks between two monitoring passes of run_trials: each trial's draws are
-# taken this many ticks at a time, and a trial that reaches tol may tick up
-# to this far past it before it is stopped
-_WINDOW = 64
-
-
 def trial_bytes(system: StationaritySystem, n_schedules: int,
                 max_equiv_iters: float) -> int:
     """An upper estimate of the bytes one trial holds in run_trials, run
     under n_schedules schedules: its operators G, G' and D; for each
-    schedule, a window of draws and row snapshots (about 64 bytes a
-    coordinate a tick) and a trajectory of one row a unit (about 256 bytes
-    a row while it is assembled).  With no trial converging, measured peaks
-    were 0.45-0.8 of it."""
+    schedule, its copy of G', a window of draws and row snapshots (about 32
+    bytes a coordinate a tick, over 5 * _ROW_UPDATES coordinate-ticks:
+    Bernoulli firing at p = 0.2) and a trajectory of one row a unit (about
+    256 bytes a row while it is assembled)."""
     operators = system.G.nbytes + system.Gprime.nbytes + system.D.nbytes
+    window = 32 * 5 * max(_ROW_UPDATES, system.n_nonlinear)
     rows = int(max_equiv_iters) + 1
-    return operators + n_schedules * (_WINDOW * system.n_nonlinear * 64
-                                      + rows * 256)
-
-
-def _check_one_shape(systems: list[StationaritySystem],
-                     schedules: list[ScheduleConfig]) -> None:
-    if not systems or len(systems) != len(schedules):
-        raise ValueError("run_trials needs one schedule per system, and at "
-                         "least one trial")
-    modes = {s.mode for s in schedules}
-    if len(modes) != 1 or not modes <= {"sync", "bernoulli"}:
-        raise ValueError(f"run_trials runs one mode, sync or bernoulli, "
-                         f"got {sorted(modes)}")
-    s0 = systems[0]
-    for s in systems[1:]:
-        if any(not np.array_equal(getattr(s, name), getattr(s0, name))
-               for name in ("affine_idx", "nonlinear_idx", "nl_sign",
-                            "nl_is_l1", "aff_sign", "s")):
-            raise ValueError("run_trials needs systems of one shape: the same "
-                             "partitions and the same kind and side on each "
-                             "coordinate")
+    return operators + n_schedules * (system.Gprime.nbytes + window + rows * 256)
 
 
 def run_trials(systems: list[StationaritySystem],
@@ -484,147 +563,33 @@ def run_trials(systems: list[StationaritySystem],
                max_equiv_iters: float = 1000.0, tol: float = 1e-8,
                references: list | None = None,
                ) -> list[tuple[SolverState, Trajectory]]:
-    """Run trials of one shape, all `sync` or all `bernoulli`, as one iteration.
+    """Run trials of one mode, on systems of one shape (the same kind and
+    side on each nonlinear coordinate, which is what the stack shares), as
+    one stack of iterate.
 
     Trial i is run(systems[i], schedules[i], max_equiv_iters, tol,
     references[i]) from the cold start, and its (state, trajectory) is
-    bitwise that run's.  The states are one (T, K) array.  Trials that share
-    a system and a reference (the same objects) sit together in it and share
-    one product with its G' per tick, bitwise the 2-D one; no operator is
-    copied.  All
-    trials tick in lockstep, a window of _WINDOW ticks at a time.  Each trial
-    draws its window from its own default_rng(seed) in one block (numpy
-    gives the same stream as one draw per tick), so its fired counts, unit
-    ends, gamma and budget end are known before the window runs.  A row is
-    a snapshot at a unit end, measured with the window's other rows of its
-    system after it (Trajectory.measure); a trial that reached tol has
-    ticked on to the window's end, and its later rows and ticks are
-    dropped.  Trials that stopped leave the stack between windows.
+    bitwise that run's.  sync and bernoulli trials tick as one (T, K) array,
+    each trial's product with its own G'; trials that share a system and a
+    reference (the same objects) are measured together.
     """
-    _check_one_shape(systems, schedules)
-    T, K = len(systems), systems[0].n_nonlinear
-    budget = math.ceil(max_equiv_iters * K - 1e-9)
-    references = references or [None] * T
-    bernoulli = schedules[0].mode == "bernoulli"
-    e = np.stack([s.e for s in systems])
-
-    # trials with the same system and reference are measured and stepped
-    # together, as the trials of their first one
-    seen = {}
-    owner = np.array([seen.setdefault((id(s), id(r)), i)
-                      for i, (s, r) in enumerate(zip(systems, references))])
-    refs = [reference_coordinates(s, r) for s, r in zip(systems, references)]
-
-    def blocks(trial):   # (first trial, rows) of each run of one owner
-        own = owner[trial]
-        cuts = [0, *(np.flatnonzero(np.diff(own)) + 1), len(own)]
-        return [(own[a], slice(a, b)) for a, b in zip(cuts, cuts[1:])]
-
-    # gamma by unit, one table per distinct schedule, grown as units are reached
-    gammas = {}
-    gamma_row = np.array([gammas.setdefault(s.gamma, len(gammas))
-                          for s in schedules])
-    table = np.empty((len(gammas), 0))
-
-    def gamma_at(g, units):   # gamma(units) of the trials on table rows g
-        nonlocal table
-        if units.max() > table.shape[1]:
-            n = max(int(units.max()), 2 * table.shape[1])
-            table = np.array([[fn(u) for u in range(1, n + 1)] for fn in gammas])
-        return table[g, units - 1]
-
-    # the trials still ticking, by position in the stack, each owner's together
-    start = np.argsort(owner, kind="stable")
-    live = {"trial": start, "d2": e[start], "c2": np.zeros((T, K)),
-            "fired": np.zeros(T, dtype=np.int64), "g": gamma_row[start],
-            "p": np.array([s.p for s in schedules])[start], "e": e[start]}
-    rngs = [np.random.default_rng(s.seed) for s in schedules]
-    final_d2, final_c2 = e.copy(), np.zeros((T, K))
-    final_fired = np.zeros(T, dtype=np.int64)
-    converged = np.zeros(T, dtype=bool)
-    pending = [(live["trial"], live["fired"], live["d2"], live["c2"])]  # row 0
-    kept = []   # (trial, fired, objective, residual, dist) of the rows kept
-
-    def leave(gone):   # copies the states, so only when a trial stops
-        nonlocal live
-        if gone.any():
-            live = {name: a[~gone] for name, a in live.items()}
-
-    if budget <= 0:   # every trial stops at its first row
-        leave(np.ones(T, dtype=bool))
-    while True:
-        if pending:   # a trial stops at its first row at tol
-            # each owner's rows together, each trial's in order
-            trial, fired, d2, c2 = (np.concatenate(a) for a in zip(*pending))
-            order = np.argsort(owner[trial], kind="stable")
-            trial, fired, d2, c2 = trial[order], fired[order], d2[order], c2[order]
-            pending = []
-            objective, residual, dist = np.empty((3, len(trial)))
-            for i, r in blocks(trial):
-                objective[r], residual[r], dist[r] = Trajectory.measure(
-                    systems[i], d2[r], c2[r], refs[i])
-            at_tol = np.flatnonzero(residual <= tol)
-            first = np.full(T, len(trial))
-            np.minimum.at(first, trial[at_tol], at_tol)
-            keep = np.arange(len(trial)) <= first[trial]
-            kept.append((trial[keep], fired[keep], objective[keep],
-                         residual[keep], dist[keep]))
-            done = np.flatnonzero(first < len(trial))
-            at = first[done]
-            final_d2[done], final_c2[done] = d2[at], c2[at]
-            final_fired[done] = fired[at]
-            converged[done] = True
-            leave(np.isin(live["trial"], done))
-        if not len(live["trial"]):
-            break
-
-        # the window's fired counts before and after each tick, and from them
-        # each trial's unit ends, budget end and gamma
-        trial, fired = live["trial"], live["fired"]
-        if bernoulli:
-            fires = np.stack([rngs[t].random((_WINDOW, K)) < p
-                              for t, p in zip(trial, live["p"])])
-            after = fired[:, None] + np.cumsum(np.count_nonzero(fires, axis=2),
-                                               axis=1)
-        else:
-            after = fired[:, None] + K * np.arange(1, _WINDOW + 1)
-        before = np.concatenate([fired[:, None], after[:, :-1]], axis=1)
-        ticking = before < budget
-        row = ticking & (after // K > before // K)
-        out = ticking & (after >= budget)
-        gamma = gamma_at(live["g"][:, None], before // K + 1)
-        any_row, any_out = row.any(axis=0).tolist(), out.any(axis=0).tolist()
-
-        d2, c2 = live["d2"], live["c2"]
-        steps = [(systems[i].Gprime, r) for i, r in blocks(trial)]
-        for w in range(ticking.sum(axis=1).max()):
-            new_c2 = systems[0].m(d2, gamma[:, w, None])
-            c2 = np.where(fires[:, w], new_c2, c2) if bernoulli else new_c2
-            d2 = np.empty_like(c2)
-            for Gprime, r in steps:
-                d2[r] = np.matmul(Gprime, c2[r, :, None])[..., 0]
-            d2 += live["e"]
-            if any_row[w]:
-                r = row[:, w]
-                pending.append((trial[r], after[r, w], d2[r], c2[r]))
-            if any_out[w]:
-                o = out[:, w]
-                final_d2[trial[o]], final_c2[trial[o]] = d2[o], c2[o]
-                final_fired[trial[o]] = after[o, w]
-        live.update(d2=d2, c2=c2, fired=after[:, -1])
-        leave(out.any(axis=1))
-
-    trial, fired, objective, residual, dist = (np.concatenate(a)
-                                               for a in zip(*kept))
-    order = np.argsort(trial, kind="stable")
-    bounds = np.cumsum(np.bincount(trial, minlength=T))[:-1]
-    columns = [np.split(a[order], bounds)
-               for a in (fired / K, objective, residual, dist)]
-    return [(SolverState(c2=final_c2[t].copy(), d2=final_d2[t].copy(),
-                         fired_updates=int(final_fired[t]),
-                         converged=bool(converged[t])),
-             Trajectory(*(col[t].tolist() for col in columns)))
-            for t in range(T)]
+    if not systems or len(systems) != len(schedules):
+        raise ValueError("run_trials needs one schedule per system, and at "
+                         "least one trial")
+    s0 = systems[0]
+    if len({s.mode for s in schedules}) > 1 or any(
+            not (np.array_equal(s.nl_sign, s0.nl_sign)
+                 and np.array_equal(s.nl_is_l1, s0.nl_is_l1)) for s in systems):
+        raise ValueError("run_trials needs trials of one mode, on systems of "
+                         "one shape")
+    state = init_state(systems)
+    trajectories = iterate(systems, state,
+                           _engine_step(systems, schedules, state),
+                           max_equiv_iters, tol, references)
+    return [(SolverState(c2=state.c2[t], d2=state.d2[t],
+                         fired_updates=int(state.fired_updates[t]),
+                         converged=bool(state.converged[t])), traj)
+            for t, traj in enumerate(trajectories)]
 
 
 # ---------------------------------------------------------------------------

@@ -242,7 +242,12 @@ def test_config_value_outside_choices_is_an_error(command, lp_file, tmp_path,
     (None, "config file"),
     ("{not json", "config file"),
     ("[1, 2]", "config file"),
-], ids=["unknown-key", "missing", "not-json", "json-list"])
+    # values the flag's type cannot take
+    ('{"tol": null}', "'tol'"),
+    ('{"max_equiv_iters": null}', "'max_equiv_iters'"),
+    ('{"tol": [1]}', "'tol'"),
+], ids=["unknown-key", "missing", "not-json", "json-list", "tol-null",
+        "budget-null", "tol-list"])
 def test_broken_config_is_an_error(content, message, lp_file, tmp_path,
                                    capsys):
     config = tmp_path / "config.json"
@@ -446,7 +451,7 @@ def test_experiment_aggregates_each_unit_over_trials(tmp_path, monkeypatch):
                 assert float(row[f"{name}_median"]) == np.median(column), (p, u, name)
 
 
-@pytest.mark.parametrize("mode", ["sync", "bernoulli"])
+@pytest.mark.parametrize("mode", ["sync", "sweep", "bernoulli", "randomk"])
 def test_stacked_experiment_never_runs_trials_one_by_one(mode, tmp_path,
                                                          monkeypatch):
     def refuse(*args, **kwargs):
@@ -462,7 +467,7 @@ def test_stacked_experiment_never_runs_trials_one_by_one(mode, tmp_path,
     with open(out / "summary.json") as fh:
         groups = json.load(fh)["groups"]
     assert list(groups) == (["p=0.3", "p=1.0"] if mode == "bernoulli"
-                            else ["sync"])
+                            else [mode])
 
 
 def test_experiment_stacks_trials_in_chunks(tmp_path, monkeypatch):

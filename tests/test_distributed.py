@@ -1,4 +1,5 @@
 import math
+import weakref
 from collections import deque
 
 import numpy as np
@@ -107,6 +108,40 @@ def test_workers_draw_many_windows_at_a_time(monkeypatch):
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert sum(r.updates for r in got[3]) == 300 * system.n_nonlinear
     assert 0 < len(calls) < 300   # windows of K lookups
+
+
+def test_a_long_run_holds_a_bounded_number_of_blocks(monkeypatch):
+    # the lookups drawn are counted into the worker histograms once they are
+    # applied, so a run holds a few blocks of them, however long it is; the
+    # reports still count every applied lookup
+    system = _small_system(seed=2)
+    made = []
+
+    class Numpy:   # numpy, with the arrays distributed.py makes by np.empty kept
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, *args, **kwargs):
+            array = np.empty(*args, **kwargs)
+            made.append(weakref.ref(array))
+            return array
+
+    held = []
+    measure = engine.Trajectory.measure
+
+    def counted(*args):   # once a window
+        held.append(sum(ref() is not None for ref in made))
+        return measure(*args)
+
+    monkeypatch.setattr(ds, "np", Numpy())
+    monkeypatch.setattr(engine.Trajectory, "measure", staticmethod(counted))
+    *_, reports, _ = ds.run_distributed(system, workers=3,
+                                        max_equiv_iters=20000, tol=0.0, seed=1)
+    K = system.n_nonlinear
+    assert len(made) >= 20000 * K // ds._DRAWS
+    assert max(held) <= 3
+    assert sum(r.updates for r in reports) == 20000 * K
+    assert all(sum(r.histogram) == r.updates for r in reports)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import csv
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -257,6 +259,60 @@ def test_resumed_run_does_not_replay_its_firing_pattern(seed):
 
 
 # ---------------------------------------------------------------------------
+# an independent reference for the run loop
+
+def _reference_run(system, schedule, budget, tol, reference=None, state=None):
+    """What engine.run returns, one step at a time: sync_step, async_tick
+    with one draw per tick, or incremental_step (one rng.integers(K) per
+    randomk update), with gamma of the unit each step starts in; a row
+    recorded with Trajectory.record after every step that ends a unit; a
+    stop at the first row at tol, or once ceil(budget * K) updates have
+    fired (a whole step may pass it).  `state` is resumed from a copy."""
+    K = system.n_nonlinear
+    state = (engine.init_state(system) if state is None else
+             engine.SolverState(c2=state.c2.copy(), d2=state.d2.copy(),
+                                fired_updates=state.fired_updates))
+    rng = np.random.default_rng([schedule.seed, state.fired_updates]
+                                if state.fired_updates else schedule.seed)
+    ref = engine.reference_coordinates(system, reference)
+    traj = engine.Trajectory()
+    stop = math.ceil(budget * K - 1e-9)
+    converged = traj.record(system, state.fired_updates / K, state.d2,
+                            state.c2, ref) <= tol
+    while not converged and state.fired_updates < stop:
+        unit = state.fired_updates // K
+        gamma = schedule.gamma(unit + 1)
+        if schedule.mode == "sync":
+            engine.sync_step(state, system, gamma)
+        elif schedule.mode == "bernoulli":
+            engine.async_tick(state, system, rng.random(K) < schedule.p, gamma)
+        elif schedule.mode == "sweep":
+            for k in range(K):
+                engine.incremental_step(state, system, k, gamma)
+        else:
+            engine.incremental_step(state, system, int(rng.integers(K)), gamma)
+        if state.fired_updates // K > unit:
+            converged = traj.record(system, state.fired_updates / K, state.d2,
+                                    state.c2, ref) <= tol
+    state.converged = converged
+    return state, traj
+
+
+def _assert_same_run(got, want, where):
+    (state, traj), (want_state, want_traj) = got, want
+    assert _same(state.d2, want_state.d2) and _same(state.c2, want_state.c2), where
+    assert state.fired_updates == want_state.fired_updates, where
+    assert state.converged is want_state.converged, where
+    for column in ("equiv_iter", "objective", "residual", "dist_to_ref"):
+        assert _same(getattr(traj, column), getattr(want_traj, column)), \
+            (where, column)
+
+
+def _same(a, b) -> bool:
+    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
 # rows measured a window at a time
 
 _WINDOW_SYSTEMS = {
@@ -308,9 +364,21 @@ def test_windowed_rows_equal_per_unit_rows(kind, schedule, monkeypatch):
     def both(budget, tol, **kwargs):
         windowed = _outcome(system, schedule, budget, tol, **kwargs)
         monkeypatch.setattr(engine, "_ROW_UPDATES", 1)   # a row every unit
+        monkeypatch.setattr(engine, "_ROW_UNITS", 1)
         per_unit = _outcome(system, schedule, budget, tol, **kwargs)
         monkeypatch.undo()
         assert windowed == per_unit, (budget, tol, kwargs)
+        if schedule != "distributed:3":   # one worker is randomk
+            mode = "randomk" if schedule == "distributed:1" else schedule
+            config = engine.ScheduleConfig(mode=mode, p=0.5, seed=5,
+                                           homotopy=_RAMP)
+            state, traj = _reference_run(system, config, budget, tol, **kwargs)
+            assert (windowed["d2"], windowed["c2"], windowed["converged"],
+                    windowed["rows"]) == (
+                state.d2.tobytes(), state.c2.tobytes(), state.converged,
+                [np.asarray(col).tobytes() for col in
+                 (traj.equiv_iter, traj.objective, traj.residual,
+                  traj.dist_to_ref)]), (budget, tol, kwargs)
         return windowed
 
     # aim tol at a row 0, and at the first, a middle and the last unit of a
@@ -368,23 +436,16 @@ def test_randomk_measures_rows_a_window_at_a_time(monkeypatch):
 # ---------------------------------------------------------------------------
 # stacked trials
 
-def _same(a, b) -> bool:
-    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
-
-
 def _assert_trials_equal_runs(systems, schedules, budget, tol, references):
-    """run_trials gives, trial by trial, bitwise run's state and rows."""
+    """run_trials gives, trial by trial, bitwise run's state and rows, and
+    both give those of the one-step-at-a-time reference."""
     stacked = engine.run_trials(systems, schedules, budget, tol, references)
     assert len(stacked) == len(systems)
-    for i, (state, traj) in enumerate(stacked):
-        want, want_traj = engine.run(systems[i], schedules[i], budget, tol,
-                                     references[i])
-        assert _same(state.d2, want.d2) and _same(state.c2, want.c2), i
-        assert state.fired_updates == want.fired_updates, i
-        assert state.converged is want.converged, i
-        for column in ("equiv_iter", "objective", "residual", "dist_to_ref"):
-            assert _same(getattr(traj, column), getattr(want_traj, column)), \
-                (i, column)
+    for i, got in enumerate(stacked):
+        want = engine.run(systems[i], schedules[i], budget, tol, references[i])
+        _assert_same_run(got, want, i)
+        _assert_same_run(want, _reference_run(systems[i], schedules[i], budget,
+                                              tol, references[i]), i)
     return stacked
 
 
@@ -408,15 +469,17 @@ def _schedules(mode, trials, homotopy):
             for i in range(trials)]
 
 
-# budgets of 300 units run past several 64-tick draw windows
+# budgets of 300 units run past several draw windows
 @pytest.mark.parametrize("kind", ["cheb", "bp"])
 @pytest.mark.parametrize("mode,homotopy", [("sync", "ramp:0.5:250"),
-                                           ("bernoulli", "bp")])
+                                           ("bernoulli", "bp"),
+                                           ("sweep", "bp"), ("randomk", "bp")])
 def test_run_trials_equals_per_trial_runs(kind, mode, homotopy):
     systems, refs = _battery(kind, 5)
     schedules = _schedules(mode, 5, homotopy)
-    # sync stalls (README), so its trials stop at a looser tol or not at all
-    tol = 1e-8 if mode == "bernoulli" else 2e-2
+    # the fixed orders stall (README), so their trials stop at a looser tol
+    # or not at all
+    tol = 2e-2 if mode in ("sync", "sweep") else 1e-8
     stacked = _assert_trials_equal_runs(systems, schedules, 300, tol, refs)
     units = sorted(len(traj) for _, traj in stacked)
     assert units[0] > 1 and units[0] < units[-1]   # trials stop at different units
@@ -424,7 +487,7 @@ def test_run_trials_equals_per_trial_runs(kind, mode, homotopy):
 
 
 @pytest.mark.parametrize("kind", ["cheb", "bp"])
-@pytest.mark.parametrize("mode", ["sync", "bernoulli"])
+@pytest.mark.parametrize("mode", ["sync", "sweep", "bernoulli", "randomk"])
 def test_run_trials_fractional_budget_ends_mid_unit(kind, mode):
     # no row when the budget ends inside a unit; the state is the one after
     # the last step
@@ -443,9 +506,10 @@ def test_run_trials_fractional_budget_ends_mid_unit(kind, mode):
 @pytest.mark.parametrize("budget", [0, 0.5, 3])
 def test_run_trials_short_budgets_and_tol_at_row_0(budget):
     systems, refs = _battery("bp", 3)
-    for tol in (0.0, 1e9):
+    for mode, tol in itertools.product(("sync", "sweep", "bernoulli", "randomk"),
+                                       (0.0, 1e9)):
         stacked = _assert_trials_equal_runs(
-            systems, _schedules("bernoulli", 3, "bp"), budget, tol, refs)
+            systems, _schedules(mode, 3, "bp"), budget, tol, refs)
         if tol:   # tol met at row 0: the trial never ticks
             assert all(state.fired_updates == 0 and len(traj) == 1
                        for state, traj in stacked)
@@ -453,7 +517,7 @@ def test_run_trials_short_budgets_and_tol_at_row_0(budget):
 
 def test_run_trials_single_trial():
     systems, refs = _battery("cheb", 2)
-    for mode in ("sync", "bernoulli"):
+    for mode in ("sync", "sweep", "bernoulli", "randomk"):
         _assert_trials_equal_runs(systems[:1], _schedules(mode, 1, "bp"),
                                   150, 1e-8, refs[:1])
 
@@ -467,7 +531,7 @@ def test_run_trials_shared_systems_in_any_order():
     order = [0, 1, 0, 0, 1, 0]
     stacked_refs = [refs[i] for i in order]
     stacked_refs[3] = other_ref
-    for mode in ("sync", "bernoulli"):
+    for mode in ("sync", "sweep", "bernoulli", "randomk"):
         _assert_trials_equal_runs([systems[i] for i in order],
                                   _schedules(mode, len(order), "bp"), 120,
                                   1e-8, stacked_refs)
@@ -478,9 +542,38 @@ def test_run_trials_refuses_mixed_batteries():
     bp, _ = _battery("bp", 1)
     sync, bern = _schedules("sync", 1, "bp"), _schedules("bernoulli", 1, "bp")
     for systems, schedules in ((cheb, sync + bern), (cheb[:1] + bp, sync * 2),
-                               (cheb, sync), (bp, _schedules("randomk", 1, None))):
+                               (cheb, sync), ([], [])):
         with pytest.raises(ValueError):
             engine.run_trials(systems, schedules, 10, 1e-8)
+
+
+def test_stacked_state_bookkeeping():
+    # a stack of T trials is (T, K) arrays: n_coords is K, and fired_updates
+    # and equivalent_iterations are per trial
+    systems, _ = _battery("cheb", 3)
+    K = systems[0].n_nonlinear
+    stack = engine.init_state(systems)
+    assert stack.c2.shape == stack.d2.shape == (3, K) and stack.n_coords == K
+    assert np.array_equal(stack.d2, [s.e for s in systems])
+    assert not stack.c2.any() and np.array_equal(stack.fired_updates, [0, 0, 0])
+    stack.fired_updates += [0, K, 3 * K]
+    assert np.array_equal(stack.equivalent_iterations, [0.0, 1.0, 3.0])
+    stack.d2[0] += 1.0
+    assert not np.array_equal(systems[0].e, stack.d2[0])   # private copies
+    one = engine.init_state(systems[0])
+    assert one.n_coords == K and one.fired_updates == 0
+    one.fired_updates += 2 * K
+    assert one.equivalent_iterations == 2.0
+    # iterate resumes each trial where it stands, and leaves fired_updates
+    # and converged per trial
+    trajectories = engine.iterate(systems, stack, engine._engine_step(
+        systems, _schedules("sync", 3, "bp"), stack), 5, 0.0)
+    assert np.array_equal(stack.fired_updates, [5 * K] * 3)
+    assert np.array_equal(stack.equivalent_iterations, [5.0] * 3)
+    assert stack.converged.tolist() == [False] * 3
+    assert [t.equiv_iter for t in trajectories] == [
+        [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, 3.0, 4.0, 5.0],
+        [3.0, 4.0, 5.0]]
 
 
 def test_trajectory_reference_column(tmp_path):
