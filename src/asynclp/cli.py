@@ -25,7 +25,7 @@ from .stationarity import ReductionSingularError, build_system
 
 
 # ---------------------------------------------------------------------------
-# encoding and references
+# encoding
 
 def encode(problem) -> formulation.AsyncFormProblem:
     if isinstance(problem, formulation.AsyncFormProblem):
@@ -40,41 +40,7 @@ def encode(problem) -> formulation.AsyncFormProblem:
 
 
 # ---------------------------------------------------------------------------
-# shared runners
-
-def _run_once(system, args, seed, p, reference=None):
-    """One solve with the configured mode (bernoulli firing probability p);
-    returns a result dict + trajectory."""
-    if args.mode == "distributed":
-        d2, c2, traj, reports, converged = distributed.run_distributed(
-            system, workers=args.workers, max_equiv_iters=args.max_equiv_iters,
-            tol=args.tol, seed=seed, homotopy=args.homotopy, reference=reference)
-        equiv = sum(r.updates for r in reports) / system.n_nonlinear
-        head = {"mode": "distributed", "workers": args.workers}
-        tail = {"worker_reports": [r.to_dict() for r in reports]}
-    else:
-        schedule = engine.ScheduleConfig(mode=args.mode, p=p, seed=seed,
-                                         homotopy=args.homotopy)
-        state, traj = engine.run(system, schedule,
-                                 max_equiv_iters=args.max_equiv_iters,
-                                 tol=args.tol, reference=reference)
-        d2, c2, converged = state.d2, state.c2, state.converged
-        equiv = state.equivalent_iterations
-        head = {"mode": args.mode,
-                "p": p if args.mode == "bernoulli" else None}
-        tail = {}
-    values = system.recover_variables(d2, c2)
-    result = {
-        **head,
-        "converged": bool(converged),
-        "residual": system.residual(d2),
-        "equivalent_iterations": equiv,
-        "objective": system.objective(d2, c2),
-        "variables": {k: v.tolist() for k, v in values.items()},
-        **tail,
-    }
-    return result, traj
-
+# references
 
 def _oracle(problem) -> oracle.OracleSolution | None:
     """Vertex enumeration for a standard LP, the inscribed-ball reference for
@@ -118,7 +84,27 @@ def cmd_solve(args) -> int:
     except (OSError, ValueError, ReductionSingularError) as exc:
         return _invalid(args.problem, exc)
     reference = _reference_for(problem) if args.with_reference else None
-    result, traj = _run_once(system, args, args.seed, args.p, reference)
+    schedule = engine.ScheduleConfig(args.mode, args.p, args.workers, args.seed,
+                                     args.homotopy)
+    state, traj = engine.run(system, schedule, max_equiv_iters=args.max_equiv_iters,
+                             tol=args.tol, reference=reference)
+    if args.mode == "distributed":
+        head = {"workers": args.workers}
+        tail = {"worker_reports": [r.to_dict() for r in distributed.worker_reports(
+            system, args.workers, args.seed, state.fired_updates)]}
+    else:
+        head, tail = {"p": args.p if args.mode == "bernoulli" else None}, {}
+    values = system.recover_variables(state.d2, state.c2)
+    result = {
+        "mode": args.mode,
+        **head,
+        "converged": bool(state.converged),
+        "residual": system.residual(state.d2),
+        "equivalent_iterations": state.equivalent_iterations,
+        "objective": system.objective(state.d2, state.c2),
+        "variables": {k: v.tolist() for k, v in values.items()},
+        **tail,
+    }
     os.makedirs(args.out, exist_ok=True)
     traj.to_csv(os.path.join(args.out, "trajectory.csv"))
     with open(os.path.join(args.out, "solution.json"), "w") as fh:
@@ -177,21 +163,15 @@ def _battery(args, groups):
     group, in trial order.
 
     Trial t draws seed seed + t for its instance and its schedule, and is set
-    up once for all groups.  The engine modes run as stacked chunks of trials
-    through engine.run_trials, bitwise the per-trial runs, each chunk built
-    when the one before it is done; distributed runs each trial alone.
+    up once for all groups.  The trials run as stacked chunks through
+    engine.run_trials, bitwise the per-trial runs, each chunk built when the
+    one before it is done.
     """
     def trials():
         for t in range(args.trials):
             inst = _gen_instance(args, args.seed + t)
             yield args.seed + t, build_system(encode(inst)), _reference_for(inst)
 
-    if args.mode == "distributed":
-        for seed, system, reference in trials():
-            for label, p in groups:
-                result, traj = _run_once(system, args, seed, p, reference)
-                yield label, result["converged"], result["residual"], traj
-        return
     # one gamma schedule object for every trial, so run_trials tabulates it once
     gamma = engine.make_gamma(args.homotopy)
     chunk = []
@@ -201,7 +181,7 @@ def _battery(args, groups):
         if t < args.trials and (len(chunk) + 1) * size <= _CHUNK_BYTES:
             continue
         stack = [(system, label, reference,
-                  engine.ScheduleConfig(args.mode, p, seed, gamma))
+                  engine.ScheduleConfig(args.mode, p, args.workers, seed, gamma))
                  for seed, system, reference in chunk for label, p in groups]
         systems, labels, references, schedules = map(list, zip(*stack))
         results = engine.run_trials(systems, schedules, args.max_equiv_iters,
@@ -332,13 +312,9 @@ def _refuse_bad_values(args, command: argparse.ArgumentParser) -> None:
             if not ps:
                 raise ValueError("--p-list names no firing probability")
             encode(_gen_instance(args, args.seed))
-        if args.mode == "distributed":
-            if args.workers < 1:   # run_distributed checks it on a built system
-                raise ValueError("--workers must be at least 1")
-            engine.make_gamma(args.homotopy)
-        else:
-            for p in ps:
-                engine.ScheduleConfig(mode=args.mode, p=p, homotopy=args.homotopy)
+        for p in ps:
+            engine.ScheduleConfig(args.mode, p, args.workers,
+                                  homotopy=args.homotopy)
     except ValueError as exc:
         command.error(str(exc))
 
@@ -348,7 +324,7 @@ def _float_list(text: str) -> list[float]:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=engine._MODES + ("distributed",),
+    p.add_argument("--mode", choices=engine._MODES,
                    default="bernoulli",
                    help="update schedule (default %(default)s; sync needs a "
                         "full-length ramp homotopy to converge)")

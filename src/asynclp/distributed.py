@@ -13,38 +13,33 @@ W workers take turns issuing lookups.  Once W lookups are in flight the
 oldest is computed and applied, so every read misses the W - 1 increments
 applied while it was in flight (the first W reads all see the cold start): a
 fixed delay tau = W - 1.  Increments are applied one at a time, so none is
-lost.  A delta of zero performs no writes.  The three stages run in
-engine.coordinate_kernel with delay tau, whose ring holds the lookups in
-flight; worker_update is one update done eagerly, the tests' reference.
+lost.  A delta of zero performs no writes.  The relaxation
+eta = 1 / (1 + 2 tau / sqrt(K)) is ARock's step bound for delay tau (Peng,
+Xu, Yan & Yin 2016); without it the delayed iteration does not converge.
 
-The relaxation eta = 1 / (1 + 2 tau / sqrt(K)) is ARock's step bound for
-delay tau (Peng, Xu, Yan & Yin 2016); without it the delayed iteration
-does not converge.  Lookups are issued in windows of K, and each worker
-draws the coordinates of many windows at a time; lookups still in flight
-when the run stops are never applied.  A run advances through the
-engine's loop, so with one worker (tau = 0, eta = 1) it is bit-for-bit the
-engine's random-coordinate schedule: same RNG stream, same kernel, same
-loop.  A run is deterministic for a given (workers, seed).
+A run is the engine's `distributed` mode: the engine's loop, its
+random-coordinate step and engine.coordinate_kernel with delay tau, whose
+ring holds the lookups in flight.  With one worker (tau = 0, eta = 1) it is
+therefore the engine's randomk schedule.  worker_update is one update done
+eagerly, the tests' reference.  A run is deterministic for a given
+(workers, seed).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (SolverState, Trajectory, coordinate_kernel, iterate,
-                     make_gamma)
+from . import engine
 from .stationarity import StationaritySystem
 
+# lookups worker_reports redraws at a time, so that its memory does not grow
+# with the run; numpy gives the same stream as one draw per lookup
+_RECOUNT_CHUNK = 1 << 16
 
-# lookups the workers draw at a time (whole windows, each worker its share in
-# one call); numpy gives the same stream as one draw per lookup
-_DRAWS = 4096
 
-
-class AssocArray(SolverState):
+class AssocArray(engine.SolverState):
     """The store: the engine's state vectors c2 and d2, keyed by coordinate."""
 
     def snapshot_c2(self) -> np.ndarray:
@@ -88,75 +83,49 @@ class WorkerReport:
                 "histogram": self.histogram}
 
 
+def worker_reports(system: StationaritySystem, workers: int, seed: int,
+                   updates: int) -> list[WorkerReport]:
+    """Each worker's count of the first `updates` lookups of a run with
+    `workers` workers and `seed`, by coordinate; empty when none was applied.
+
+    Lookup j is worker j % workers's next draw, so each worker's applied
+    lookups are the head of its stream, drawn again here.
+    """
+    if not updates:
+        return []
+    K, reports = system.n_nonlinear, []
+    for i in range(workers):
+        rng = np.random.default_rng(seed if workers == 1 else [seed, i])
+        hist, n = np.zeros(K, dtype=np.int64), len(range(i, updates, workers))
+        for at in range(0, n, _RECOUNT_CHUNK):
+            drawn = rng.integers(K, size=min(_RECOUNT_CHUNK, n - at))
+            hist += np.bincount(drawn, minlength=K)
+        reports.append(WorkerReport(i, int(hist.sum()), hist.tolist()))
+    return reports
+
+
 def run_distributed(system: StationaritySystem, workers: int = 1,
                     max_equiv_iters: float = 1000.0, tol: float = 1e-8,
                     seed: int = 0, homotopy: object = None,
                     reference: dict[str, np.ndarray] | None = None,
-                    ) -> tuple[np.ndarray, np.ndarray, Trajectory,
+                    ) -> tuple[np.ndarray, np.ndarray, engine.Trajectory,
                                list[WorkerReport], bool]:
-    """Apply `workers` workers' delayed updates until tol or budget.
+    """Apply `workers` workers' delayed updates until tol or budget: a cold
+    start of engine.run in mode `distributed`.
 
     Worker i draws coordinates from its own stream: default_rng(seed) when
-    running alone (bit-for-bit the engine's randomk mode), default_rng([seed, i])
-    otherwise.  Lookup j belongs to worker j % workers.  Lookups are issued in
-    windows of K, and a window takes gamma for the equivalent iteration in
-    which it is issued.  Each worker draws its coordinates for _DRAWS // K
-    windows in one block (the same stream as one draw per lookup); a block
-    is counted into the reports, and dropped, once its lookups are applied.
-    Lookups still in flight when engine.iterate stops, at tol or budget, are
-    never applied.
+    running alone (the engine's randomk mode), default_rng([seed, i])
+    otherwise.  Lookup j belongs to worker j % workers and takes gamma for
+    the equivalent iteration in which it is issued.  Lookups still in flight
+    when the run stops, at tol or budget, are never applied.
 
     Returns (d2, c2, trajectory, reports, converged); reports count applied
     updates and are empty when none was applied.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    K = system.n_nonlinear
-    gamma = make_gamma(homotopy)
-    eta = 1.0 / (1.0 + 2.0 * (workers - 1) / math.sqrt(K))
-    array = init_array(system)
-    rngs = [np.random.default_rng(seed if workers == 1 else [seed, i])
-            for i in range(workers)]
-    fire = coordinate_kernel(system, workers - 1, eta)
-    size = K * max(1, _DRAWS // K)     # lookups drawn at a time: whole windows
-    blocks = {}   # coordinates of the lookups drawn and not yet counted, by block
-    hist = np.zeros((workers, K), dtype=np.int64)   # applied lookups per worker
-    issued = 0
-
-    def count(b: int, n: int) -> None:   # the first n lookups of block b
-        block = blocks.pop(b)[:n]
-        for i in range(workers):
-            hist[i] += np.bincount(block[(i - b * size) % workers::workers],
-                                   minlength=K)
-
-    def advance(live, trial, fired, budget, units):
-        applied = int(fired[0])   # no roll-back goes below it
-        for b in [b for b in blocks if (b + 1) * size <= applied]:
-            count(b, size)
-        # to each unit end, and to the budget
-        marks = np.clip(K * (applied // K + np.arange(units + 1)), applied, budget)
-        d2, c2, stops = live.d2, live.c2, marks[1:].tolist()
-
-        def tick(w: int) -> None:
-            # update j applies lookup j, once lookups up to j + W - 1 are issued
-            nonlocal issued
-            while issued < stops[w] + workers - 1:
-                b, at = divmod(issued, size)
-                if at == 0:   # each worker draws its lookups of block b
-                    block = blocks[b] = np.empty(size, dtype=np.int64)
-                    for i, rng in enumerate(rngs):
-                        mine = block[(i - b * size) % workers::workers]
-                        mine[:] = rng.integers(K, size=len(mine))
-                n = min(K - issued % K, stops[w] + workers - 1 - issued)
-                fire(d2, c2, blocks[b][at:at + n].tolist(), gamma(issued // K + 1))
-                issued += n
-
-        return marks[None], tick
-
-    traj, = iterate([system], array, advance, max_equiv_iters, tol, [reference])
-    for b in list(blocks):   # the applied lookups of the blocks left
-        count(b, max(0, array.fired_updates - b * size))
-    reports = [WorkerReport(i, int(h.sum()), h.tolist()) for i, h in enumerate(hist)
-               if array.fired_updates]
-    return (array.snapshot_d2(), array.snapshot_c2(), traj, reports,
+    schedule = engine.ScheduleConfig("distributed", workers=workers, seed=seed,
+                                     homotopy=homotopy)
+    array, traj = engine.run(system, schedule, max_equiv_iters, tol, reference,
+                             state=init_array(system))
+    return (array.snapshot_d2(), array.snapshot_c2(), traj,
+            worker_reports(system, workers, seed, array.fired_updates),
             array.converged)

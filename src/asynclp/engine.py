@@ -9,19 +9,20 @@ or, equivalently, by accumulating per-coordinate increments
     d2 <- d2 + g_k (m_k(d2_k) - c2_k),   c2_k <- m_k(d2_k)  (incremental)
 
 with g_k the k-th column of G'.  Randomized schedules fire coordinates with
-probability p per tick (bernoulli) or one uniformly chosen coordinate per step
-(randomk).  Progress across schedules is compared in equivalent iterations:
-total fired coordinate updates divided by the number of nonlinear coordinates.
+probability p per tick (bernoulli), one uniformly chosen coordinate per step
+(randomk), or as W simulated workers whose reads lag W - 1 updates
+(distributed; see distributed.py).  Progress across schedules is compared in
+equivalent iterations: total fired coordinate updates divided by the number
+of nonlinear coordinates.
 
 Every schedule runs through one loop, `iterate`, over a stack of trials.  It
 owns each trial's budget, trajectory rows, tol check and stop; a schedule
 supplies only its updates, as a step that reports each trial's fired counts
 over a window of ticks, then applies them.  `run` is a stack of one trial and
 `run_trials` a battery of one mode.  sync and bernoulli trials tick as one
-(T, K) array; randomk, sweep and the delayed workers of
-distributed.run_distributed fire through `coordinate_kernel`.  Rows are
-measured a window at a time, and a trial is rolled back to the row that met
-tol.
+(T, K) array; randomk, sweep and distributed fire through
+`coordinate_kernel`.  Rows are measured a window at a time, and a trial is
+rolled back to the row that met tol.
 
 Because G' is an isometry and every m is non-expansive, the iteration map has
 Lipschitz constant exactly 1: convergence sits on the boundary.  A homotopy
@@ -43,7 +44,7 @@ import numpy as np
 
 from .stationarity import StationaritySystem, norm
 
-_MODES = ("sync", "sweep", "bernoulli", "randomk")
+_MODES = ("sync", "sweep", "bernoulli", "randomk", "distributed")
 
 # gap left at the end of a geometric ramp; effectively gamma = 1 in float64
 _RAMP_END_GAP = 1e-15
@@ -110,16 +111,18 @@ def make_gamma(spec) -> Callable[[int], float]:
 
 @dataclass
 class ScheduleConfig:
-    """How to iterate: mode in {sync, sweep, bernoulli, randomk}.
+    """How to iterate: mode in {sync, sweep, bernoulli, randomk, distributed}.
 
     p is the per-coordinate firing probability (bernoulli only; p = 1
-    reproduces sync exactly).  homotopy is a gamma schedule per equivalent
-    iteration: None (constant 1), a callable, or one of the string forms
-    accepted by make_gamma.
+    reproduces sync exactly), and workers the number of simulated workers
+    (distributed only; one worker is randomk).  homotopy is a gamma schedule
+    per equivalent iteration: None (constant 1), a callable, or one of the
+    string forms accepted by make_gamma.
     """
 
     mode: str
     p: float = 1.0
+    workers: int = 1
     seed: int = 0
     homotopy: object = None
 
@@ -128,6 +131,8 @@ class ScheduleConfig:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
         self.gamma = make_gamma(self.homotopy)
 
 
@@ -442,53 +447,67 @@ def _engine_step(systems: list[StationaritySystem],
                  schedules: list[ScheduleConfig], state: SolverState):
     """iterate's advance for trials of one engine mode: trial i follows
     schedules[i] on systems[i] from row i of `state`, drawing from
-    default_rng(seed), or from [seed, fired_updates] when it resumes.
+    default_rng(seed), or from [seed, fired_updates] when it resumes; W > 1
+    distributed workers draw from default_rng([seed, i]), one stream each.
 
-    A window is `units` ticks of K updates (randomk fires to each unit end,
-    and stops at the budget), or as many Bernoulli ticks as the largest p
-    takes to fire that many units on average.  A tick takes gamma of the
-    unit it starts in.  sync and bernoulli trials tick as one stack, and one
-    state steps with sync_step or async_tick; randomk and sweep trials fire
-    through coordinate_kernel, one after another.
+    A window is `units` ticks of K updates (randomk and distributed fire to
+    each unit end, and stop at the budget), or as many Bernoulli ticks as the
+    largest p takes to fire that many units on average.  A tick takes gamma
+    of the unit it starts in.  sync and bernoulli trials tick as one stack,
+    and one state steps with sync_step or async_tick; the other modes fire
+    through coordinate_kernel, one trial after another.  Lookup j of W
+    workers is worker j % W's next draw; it is issued W - 1 lookups ahead of
+    the update that applies it and takes gamma of the unit it is issued in,
+    so their ticks are split at those units' ends.
     """
     mode, K = schedules[0].mode, state.n_coords
-    rngs = [np.random.default_rng([s.seed, f] if f else s.seed) for s, f
-            in zip(schedules, np.reshape(state.fired_updates, -1).tolist())]
-    # gamma by unit, one table row per distinct schedule, grown as units are reached
+    fired = np.reshape(state.fired_updates, -1).tolist()
+    delays = [s.workers - 1 if mode == "distributed" else 0 for s in schedules]
+    rngs = [[np.random.default_rng([s.seed, i]) for i in range(s.workers)] if d
+            else [np.random.default_rng([s.seed, f] if f else s.seed)]
+            for s, f, d in zip(schedules, fired, delays)]
+    # gamma by unit, one table row per distinct schedule, grown as units are
+    # reached, and its rows as lists for the coordinate modes
     gammas = {}
     gamma_row = np.array([gammas.setdefault(s.gamma, len(gammas))
                           for s in schedules])
-    table = np.empty((len(gammas), 0))
+    table, table_lists = np.empty((len(gammas), 0)), []
     stacked = ((), ())   # the live trials' G' and e, stacked
-    if mode in ("randomk", "sweep"):
-        kernels = [coordinate_kernel(s) for s in systems]
+    if mode not in ("sync", "bernoulli"):   # eta = 1 without a delay
+        kernels = [coordinate_kernel(s, d, 1.0 / (1.0 + 2.0 * d / math.sqrt(K)))
+                   for s, d in zip(systems, delays)]
 
     def advance(live: SolverState, trial: np.ndarray, fired: np.ndarray,
                 budget: int, units: int):
-        nonlocal table, stacked
+        nonlocal table, table_lists, stacked
         fired = fired[:, None]
         if mode == "bernoulli":
             ticks = math.ceil(units / max(schedules[t].p for t in trial.tolist()))
-            fires = np.stack([rngs[t].random((ticks, K)) < schedules[t].p
+            fires = np.stack([rngs[t][0].random((ticks, K)) < schedules[t].p
                               for t in trial.tolist()])
             marks = np.cumsum(np.concatenate([fired, fires.sum(axis=2)], axis=1),
                               axis=1)
         else:
             marks = fired + K * np.arange(units + 1)
-            if mode == "randomk":   # to each unit end, and to the budget
+            if mode in ("randomk", "distributed"):   # to unit ends and the budget
                 marks[:, 1:] = np.minimum(marks[:, 1:] - fired % K, budget)
         unit = marks[:, :-1] // K   # gamma(unit + 1) is table[:, unit]
-        if unit.max() >= table.shape[1]:
-            n = max(int(unit.max()) + 1, 2 * table.shape[1])
+        top = int(unit.max())
+        if max(delays):   # lookups are issued up to W - 1 past the last update
+            top = max(top, (int(marks[:, -1].max()) + max(delays) - 1) // K)
+        if top >= table.shape[1]:
+            n = max(top + 1, 2 * table.shape[1])
             table = np.array([[fn(u) for u in range(1, n + 1)] for fn in gammas])
-        gamma = table[gamma_row[trial][:, None], unit]
+            table_lists = table.tolist()
 
-        if mode in ("sync", "bernoulli") and live.c2.ndim == 1:   # one state
-            system, gamma = systems[0], gamma[0].tolist()
-            if mode == "sync":
-                return marks, lambda w: sync_step(live, system, gamma[w])
-            return marks, lambda w: async_tick(live, system, fires[0, w], gamma[w])
         if mode in ("sync", "bernoulli"):
+            gamma = table[gamma_row[trial][:, None], unit]
+            if live.c2.ndim == 1:   # one state
+                system, gamma = systems[0], gamma[0].tolist()
+                if mode == "sync":
+                    return marks, lambda w: sync_step(live, system, gamma[w])
+                return marks, lambda w: async_tick(live, system, fires[0, w],
+                                                   gamma[w])
             if len(stacked[1]) != len(trial):
                 stacked = [np.stack([getattr(systems[t], name) for t in trial.tolist()])
                            for name in ("Gprime", "e")]
@@ -501,19 +520,35 @@ def _engine_step(systems: list[StationaritySystem],
 
             return marks, tick
 
-        # each trial's coordinates of the window, and where each tick ends
-        gamma, ends = gamma.tolist(), (marks - fired).tolist()
-        coords = ([rngs[t].integers(K, size=ends[i][-1])
-                   for i, t in enumerate(trial.tolist())] if mode == "randomk"
-                  else [np.tile(np.arange(K), units)] * len(trial))
-
-        fire = [(kernels[t], live.d2.reshape(-1, K)[i], live.c2.reshape(-1, K)[i])
-                for i, t in enumerate(trial.tolist())]   # on each trial's row
+        # each trial's lookups of the window, issued from 0 or delay ahead of
+        # its updates, and the issue index each tick's lookups end at
+        fire = []
+        for i, t in enumerate(trial.tolist()):
+            delay, streams = delays[t], rngs[t]
+            ends = (marks[i] + delay).tolist()
+            if not fired[i, 0]:   # the first lookups
+                ends[0] = 0
+            if mode == "sweep":
+                coords = list(range(K)) * units
+            else:   # lookup j is worker j % W's
+                coords = np.empty(ends[-1] - ends[0], dtype=np.int64)
+                for worker, rng in enumerate(streams):
+                    mine = coords[(worker - ends[0]) % len(streams)::len(streams)]
+                    mine[:] = rng.integers(K, size=len(mine))
+                coords = coords.tolist()
+            fire.append((kernels[t], live.d2.reshape(-1, K)[i],
+                         live.c2.reshape(-1, K)[i], coords, ends, delay,
+                         table_lists[gamma_row[t]]))
 
         def tick(w: int) -> None:
-            for i, (kernel, d2, c2) in enumerate(fire):
-                kernel(d2, c2, coords[i][ends[i][w]:ends[i][w + 1]].tolist(),
-                       gamma[i][w])
+            for kernel, d2, c2, coords, ends, delay, gamma in fire:
+                a, b, start = ends[w], ends[w + 1], ends[0]
+                if not delay:   # gamma of the unit the tick starts in
+                    kernel(d2, c2, coords[a - start:b - start], gamma[a // K])
+                while delay and a < b:   # of the unit each lookup is issued in
+                    c = min(b, a - a % K + K)
+                    kernel(d2, c2, coords[a - start:c - start], gamma[a // K])
+                    a = c
 
         return marks, tick
 
@@ -532,10 +567,14 @@ def run(system: StationaritySystem, schedule: ScheduleConfig,
     instead of the cold start (c2=0, d2=e) and draws from the stream
     [seed, fired_updates], so that chunks do not replay one firing pattern.
     Returns (state, trajectory); state.converged records whether tol was
-    reached within budget.  One trial of iterate.
+    reached within budget.  One trial of iterate.  A run of several workers
+    does not resume: the state does not hold its lookups in flight.
     """
     if state is None:
         state = init_state(system)
+    elif state.fired_updates and schedule.mode == "distributed" \
+            and schedule.workers > 1:
+        raise ValueError("a distributed run of several workers cannot resume")
     traj, = iterate([system], state, _engine_step([system], [schedule], state),
                     max_equiv_iters, tol, [reference])
     return state, traj

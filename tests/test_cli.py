@@ -451,16 +451,19 @@ def test_experiment_aggregates_each_unit_over_trials(tmp_path, monkeypatch):
                 assert float(row[f"{name}_median"]) == np.median(column), (p, u, name)
 
 
-@pytest.mark.parametrize("mode", ["sync", "sweep", "bernoulli", "randomk"])
+@pytest.mark.parametrize("mode", ["sync", "sweep", "bernoulli", "randomk",
+                                  "distributed"])
 def test_stacked_experiment_never_runs_trials_one_by_one(mode, tmp_path,
                                                          monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("engine.run called by a stacked battery")
 
+    # run_distributed runs under engine.run
     monkeypatch.setattr(engine, "run", refuse)
     out = tmp_path / "exp"
     rc = cli.main(["experiment", "--preset", "bp", "--n", "16", "--m", "8",
                    "--sparsity", "2", "--trials", "3", "--mode", mode,
+                   "--workers", "3" if mode == "distributed" else "1",
                    "--p-list", "0.3,1.0", "--max-equiv-iters", "40",
                    "--out", str(out)])
     assert rc == 0
@@ -653,7 +656,9 @@ def test_traced_hooks_fill_their_counters():
     assert counters["stationarity.operator_bytes"] == sum(
         a.nbytes for a in (system.G, system.Gprime, system.G11, system.G12,
                            system.G21))
-    assert counters["engine.fired_updates"] == state.fired_updates > 0
+    # run_distributed runs under engine.run, so the run hook counts both runs
+    assert counters["engine.fired_updates"] == state.fired_updates + sum(
+        r.updates for r in reports)
     assert deltas[2] == 0.0 != deltas[0]
     assert counters["distributed.updates"] == 3
     assert counters["distributed.nonzero"] == sum(d != 0.0 for d in deltas)

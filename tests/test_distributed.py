@@ -1,5 +1,4 @@
 import math
-import weakref
 from collections import deque
 
 import numpy as np
@@ -72,9 +71,10 @@ def test_worker_update_zero_delta_writes_nothing():
 
 @pytest.mark.parametrize("K", [1, 13, 21, 512])
 def test_block_draws_equal_scalar_draws(K):
-    # run_distributed and randomk draw coordinates in blocks and rely on a
-    # block of n being the same stream as n scalar draws; a numpy upgrade
-    # that breaks this shows here first
+    # randomk and the workers draw a window's coordinates in one call per
+    # stream, and the worker reports redraw each stream's head in one call;
+    # both rely on a block of n being the same stream as n scalar draws, and
+    # a numpy upgrade that breaks this shows here first
     sizes = [5, 1, 13, 0, 7, 2, 21]
     block, scalar = np.random.default_rng(17), np.random.default_rng(17)
     drawn = np.concatenate([block.integers(K, size=n) for n in sizes])
@@ -83,8 +83,8 @@ def test_block_draws_equal_scalar_draws(K):
 
 
 def test_workers_draw_many_windows_at_a_time(monkeypatch):
-    # each worker draws the lookups of many windows of K in one call (the
-    # eager-model tests pin them against one scalar draw per lookup)
+    # each worker draws its lookups of a window of many units in one call
+    # (the eager-model tests pin them against one scalar draw per lookup)
     calls = []
     default_rng = np.random.default_rng
 
@@ -107,41 +107,24 @@ def test_workers_draw_many_windows_at_a_time(monkeypatch):
     got = run()
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert sum(r.updates for r in got[3]) == 300 * system.n_nonlinear
-    assert 0 < len(calls) < 300   # windows of K lookups
+    assert 0 < len(calls) < 300   # windows of many units
 
 
-def test_a_long_run_holds_a_bounded_number_of_blocks(monkeypatch):
-    # the lookups drawn are counted into the worker histograms once they are
-    # applied, so a run holds a few blocks of them, however long it is; the
-    # reports still count every applied lookup
+def test_reports_count_every_applied_lookup():
+    # the reports redraw the head of each worker's stream: every applied
+    # lookup is counted, by the worker that issued it, and none in flight
     system = _small_system(seed=2)
-    made = []
-
-    class Numpy:   # numpy, with the arrays distributed.py makes by np.empty kept
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def empty(self, *args, **kwargs):
-            array = np.empty(*args, **kwargs)
-            made.append(weakref.ref(array))
-            return array
-
-    held = []
-    measure = engine.Trajectory.measure
-
-    def counted(*args):   # once a window
-        held.append(sum(ref() is not None for ref in made))
-        return measure(*args)
-
-    monkeypatch.setattr(ds, "np", Numpy())
-    monkeypatch.setattr(engine.Trajectory, "measure", staticmethod(counted))
+    K = system.n_nonlinear
     *_, reports, _ = ds.run_distributed(system, workers=3,
                                         max_equiv_iters=20000, tol=0.0, seed=1)
-    K = system.n_nonlinear
-    assert len(made) >= 20000 * K // ds._DRAWS
-    assert max(held) <= 3
     assert sum(r.updates for r in reports) == 20000 * K
     assert all(sum(r.histogram) == r.updates for r in reports)
+    for units in (150, 150.4):
+        *_, reports, _ = ds.run_distributed(system, workers=3,
+                                            max_equiv_iters=units, tol=0.0,
+                                            seed=1, homotopy="bp")
+        _, _, hist, _, _ = _eager_delayed_run(system, 3, units, 1, "bp")
+        assert [r.histogram for r in reports] == hist
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +214,9 @@ def test_two_worker_reads_are_stale_by_one_update():
 
 def test_multi_worker_run_is_the_fifo_of_scalar_draws():
     # the run draws each window's coordinates in per-worker blocks and takes
-    # gamma once per window; it must equal the delayed model with one scalar
-    # draw and one gamma per lookup.  K = 9 is not a multiple of either
-    # worker count, so windows start mid-rotation of the workers.  At the
+    # gamma once per unit of lookups; it must equal the delayed model with
+    # one scalar draw and one gamma per lookup.  K = 9 is not a multiple of
+    # either worker count, so windows start mid-rotation of the workers.  At the
     # fractional budget the run stops after ceil(20.5 K) = 185 applied
     # updates, and the lookups still in flight are dropped.
     system = _small_system(seed=12)

@@ -63,6 +63,8 @@ def test_schedule_config_validation():
         engine.ScheduleConfig(mode="bernoulli", p=0.0)
     with pytest.raises(ValueError):
         engine.ScheduleConfig(mode="bernoulli", p=1.5)
+    with pytest.raises(ValueError):
+        engine.ScheduleConfig(mode="distributed", workers=0)
     cfg = engine.ScheduleConfig(mode="bernoulli", p=1.0, homotopy="bp")
     assert cfg.gamma is engine.power_ramp
 
@@ -213,6 +215,26 @@ def test_run_resume_from_state():
                             state=state)
     assert resumed.converged
     assert resumed is state  # mutated in place
+
+
+def test_a_run_of_several_workers_does_not_resume():
+    # the lookups in flight are not part of the state; one worker is randomk,
+    # and resumes as randomk does
+    system = build_system(chebyshev_encode(gen_chebyshev(3, 6, seed=4)))
+    states = {}
+    for mode, workers in (("distributed", 3), ("distributed", 1), ("randomk", 1)):
+        schedule = engine.ScheduleConfig(mode=mode, workers=workers, seed=2)
+        state = states[mode, workers] = engine.init_state(system)
+        engine.run(system, schedule, max_equiv_iters=2.5, tol=0.0, state=state)
+        assert state.fired_updates > 0
+        if workers > 1:
+            with pytest.raises(ValueError):
+                engine.run(system, schedule, max_equiv_iters=5, state=state)
+            assert state.fired_updates == math.ceil(2.5 * system.n_nonlinear)
+        else:
+            engine.run(system, schedule, max_equiv_iters=5, tol=0.0, state=state)
+    one, randomk = states["distributed", 1], states["randomk", 1]
+    assert np.array_equal(one.d2, randomk.d2) and np.array_equal(one.c2, randomk.c2)
 
 
 def test_randomk_is_scalar_draws_of_incremental_steps():
@@ -449,6 +471,23 @@ def _assert_trials_equal_runs(systems, schedules, budget, tol, references):
     return stacked
 
 
+def _assert_trials_equal_distributed_runs(systems, workers, budget, tol,
+                                          references, homotopy):
+    """run_trials of `workers` workers gives, trial by trial, bitwise
+    run_distributed's state and rows, trial i drawing from seed i."""
+    schedules = [engine.ScheduleConfig("distributed", workers=workers, seed=i,
+                                       homotopy=homotopy)
+                 for i in range(len(systems))]
+    stacked = engine.run_trials(systems, schedules, budget, tol, references)
+    for i, got in enumerate(stacked):
+        d2, c2, traj, reports, converged = run_distributed(
+            systems[i], workers, budget, tol, i, homotopy, references[i])
+        want = engine.SolverState(c2=c2, d2=d2, converged=converged,
+                                  fired_updates=sum(r.updates for r in reports))
+        _assert_same_run(got, (want, traj), i)
+    return stacked
+
+
 def _battery(kind, trials):
     """Systems of one shape with their references: the basis-pursuit planted
     solution, and the oracle's ball for all Chebyshev trials but the last."""
@@ -473,14 +512,20 @@ def _schedules(mode, trials, homotopy):
 @pytest.mark.parametrize("kind", ["cheb", "bp"])
 @pytest.mark.parametrize("mode,homotopy", [("sync", "ramp:0.5:250"),
                                            ("bernoulli", "bp"),
-                                           ("sweep", "bp"), ("randomk", "bp")])
+                                           ("sweep", "bp"), ("randomk", "bp"),
+                                           ("distributed:1", "bp"),
+                                           ("distributed:3", "bp")])
 def test_run_trials_equals_per_trial_runs(kind, mode, homotopy):
     systems, refs = _battery(kind, 5)
-    schedules = _schedules(mode, 5, homotopy)
     # the fixed orders stall (README), so their trials stop at a looser tol
     # or not at all
     tol = 2e-2 if mode in ("sync", "sweep") else 1e-8
-    stacked = _assert_trials_equal_runs(systems, schedules, 300, tol, refs)
+    if mode.startswith("distributed"):
+        stacked = _assert_trials_equal_distributed_runs(
+            systems, int(mode[-1]), 300, tol, refs, homotopy)
+    else:
+        stacked = _assert_trials_equal_runs(
+            systems, _schedules(mode, 5, homotopy), 300, tol, refs)
     units = sorted(len(traj) for _, traj in stacked)
     assert units[0] > 1 and units[0] < units[-1]   # trials stop at different units
     assert any(state.converged for state, _ in stacked)
