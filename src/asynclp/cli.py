@@ -172,8 +172,6 @@ def _battery(args, groups):
             inst = _gen_instance(args, args.seed + t)
             yield args.seed + t, build_system(encode(inst)), _reference_for(inst)
 
-    # one gamma schedule object for every trial, so run_trials tabulates it once
-    gamma = engine.make_gamma(args.homotopy)
     chunk = []
     for t, trial in enumerate(trials(), 1):
         chunk.append(trial)
@@ -181,7 +179,8 @@ def _battery(args, groups):
         if t < args.trials and (len(chunk) + 1) * size <= _CHUNK_BYTES:
             continue
         stack = [(system, label, reference,
-                  engine.ScheduleConfig(args.mode, p, args.workers, seed, gamma))
+                  engine.ScheduleConfig(args.mode, p, args.workers, seed,
+                                        args.homotopy))
                  for seed, system, reference in chunk for label, p in groups]
         systems, labels, references, schedules = map(list, zip(*stack))
         results = engine.run_trials(systems, schedules, args.max_equiv_iters,
@@ -311,10 +310,12 @@ def _refuse_bad_values(args, command: argparse.ArgumentParser) -> None:
             ps = [p for _, p in _groups(args)]
             if not ps:
                 raise ValueError("--p-list names no firing probability")
+            if len(set(ps)) < len(ps):   # one group, and one label, per p
+                raise ValueError("--p-list names a firing probability twice")
             encode(_gen_instance(args, args.seed))
         for p in ps:
-            engine.ScheduleConfig(args.mode, p, args.workers,
-                                  homotopy=args.homotopy)
+            engine.ScheduleConfig(args.mode, p, args.workers, args.seed,
+                                  args.homotopy)
     except ValueError as exc:
         command.error(str(exc))
 

@@ -19,10 +19,11 @@ Every schedule runs through one loop, `iterate`, over a stack of trials.  It
 owns each trial's budget, trajectory rows, tol check and stop; a schedule
 supplies only its updates, as a step that reports each trial's fired counts
 over a window of ticks, then applies them.  `run` is a stack of one trial and
-`run_trials` a battery of one mode.  sync and bernoulli trials tick as one
-(T, K) array; randomk, sweep and distributed fire through
-`coordinate_kernel`.  Rows are measured a window at a time, and a trial is
-rolled back to the row that met tol.
+`run_trials` a battery of one mode.  Every sync and bernoulli tick is
+`sync_step` or `async_tick`, in place on one trial's row or on the (T, K)
+stack; randomk, sweep and distributed fire through `coordinate_kernel`.
+Rows are measured a window at a time, and a trial is rolled back to the row
+that met tol.
 
 Because G' is an isometry and every m is non-expansive, the iteration map has
 Lipschitz constant exactly 1: convergence sits on the boundary.  A homotopy
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -48,6 +49,7 @@ _MODES = ("sync", "sweep", "bernoulli", "randomk", "distributed")
 
 # gap left at the end of a geometric ramp; effectively gamma = 1 in float64
 _RAMP_END_GAP = 1e-15
+_RAMPS = {}   # each ramp spec's one schedule, so that its trials share a gamma row
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +103,9 @@ def make_gamma(spec) -> Callable[[int], float]:
             parts = spec.split(":")
             if len(parts) != 3:
                 raise ValueError(f"bad ramp spec {spec!r}, expected ramp:alpha0:steps")
-            return geometric_ramp(float(parts[1]), int(parts[2]))
+            if spec not in _RAMPS:
+                _RAMPS[spec] = geometric_ramp(float(parts[1]), int(parts[2]))
+            return _RAMPS[spec]
         raise ValueError(f"unknown homotopy spec {spec!r}")
     raise TypeError(f"homotopy spec must be None, callable, or str, got {type(spec)}")
 
@@ -131,8 +135,10 @@ class ScheduleConfig:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if not isinstance(self.workers, (int, np.integer)) or self.workers < 1:
+            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         self.gamma = make_gamma(self.homotopy)
 
 
@@ -169,10 +175,13 @@ def init_state(system: StationaritySystem | list[StationaritySystem]) -> SolverS
 # ---------------------------------------------------------------------------
 # steps
 
-def sync_step(state: SolverState, system: StationaritySystem, gamma: float = 1.0) -> None:
-    """One synchronous update: all coordinates sample, then d2 is rebuilt."""
-    state.c2 = system.m(state.d2, gamma)
-    state.d2 = system.Gprime @ state.c2 + system.e
+def sync_step(state: SolverState, system: StationaritySystem, gamma=1.0) -> None:
+    """One synchronous update in place: c2 = m(d2), then d2 = G' c2 + e.  A
+    stack of trials ticks on a system of their G' and e stacked, with gamma
+    a float or a (T, 1) column, each row bitwise its one-state update."""
+    state.c2[...] = system.m(state.d2, gamma)
+    np.matmul(system.Gprime, state.c2[..., None], out=state.d2[..., None])
+    state.d2 += system.e
     state.fired_updates += state.n_coords
 
 
@@ -245,16 +254,14 @@ def sweep_step(state: SolverState, system: StationaritySystem, gamma: float = 1.
 
 
 def async_tick(state: SolverState, system: StationaritySystem,
-               fires: np.ndarray, gamma: float = 1.0) -> int:
-    """Bernoulli tick: the coordinates where `fires` is True fire.
-
-    `fires` is the tick's draw, rng.random(K) < p for firing probability p.
-    Fired coordinates resample c2_k from the current d2; the rest hold their
-    previous value; then d2 is rebuilt from the full c2.  Returns the number
-    of coordinates that fired.
-    """
-    state.c2 = np.where(fires, system.m(state.d2, gamma), state.c2)
-    state.d2 = system.Gprime @ state.c2 + system.e
+               fires: np.ndarray, gamma=1.0) -> int:
+    """Bernoulli tick in place, as sync_step but c2 takes m(d2) only where
+    `fires`, the tick's draw rng.random(K) < p for firing probability p (a
+    row per trial of a stack), is True.  Returns the number of coordinates
+    that fired, added to fired_updates (on a stack, all trials' together)."""
+    np.copyto(state.c2, system.m(state.d2, gamma), where=fires)
+    np.matmul(system.Gprime, state.c2[..., None], out=state.d2[..., None])
+    state.d2 += system.e
     fired = int(np.count_nonzero(fires))
     state.fired_updates += fired
     return fired
@@ -346,24 +353,23 @@ def iterate(systems: list[StationaritySystem], state: SolverState,
     """The run loop of every schedule, over a stack of trials; returns each
     trial's trajectory and sets state.fired_updates and state.converged.
 
-    Trial i runs on systems[i] from row i of the stack `state` (a state of
-    one vector is one trial), and ends as that row.  Its budget is
+    Trial i runs on systems[i] from row i of the (T, K) stack `state`, and
+    ends as that row, written in place.  Its budget is
     ceil(max_equiv_iters * K) fired updates.  A row is recorded and tol
     checked at the start and after each tick that ends a unit of K updates.
     A trial stops at its first row at tol (converged) or after the tick
     that reaches its budget.
 
     The live trials tick in lockstep, a window at a time: advance(live,
-    trial, fired, budget, units) gets their stack (a vector when `state` is
-    one), their indices, their fired_updates and the window's length,
-    max(_ROW_UNITS, _ROW_UPDATES // K) units, and returns `marks`, their
-    fired_updates at the window's start and after each of its W ticks ((n,
-    W + 1)), and tick(w), which applies tick w to the stack.  The window's
-    rows are measured after it, from the stack kept after each tick: one
-    Trajectory.measure call per owner (trials that share a system and a
-    reference object), each row bitwise its one-state value.  A trial that
-    stopped inside the window is rolled back to its stop, fired_updates
-    included, and leaves the stack.
+    trial, fired, budget, units) gets their stack, their indices, their
+    fired_updates and the window's length, max(_ROW_UNITS, _ROW_UPDATES //
+    K) units, and returns `marks`, their fired_updates at the window's start
+    and after each of its W ticks ((n, W + 1)), and tick(w), which applies
+    tick w to the stack in place.  The window's rows are measured after it,
+    from the stack kept after each tick: one Trajectory.measure call per owner
+    (trials that share a system and a reference object), each row bitwise
+    its one-state value.  A trial that stopped inside the window is rolled
+    back to its stop, fired_updates included, and leaves the stack.
     """
     T, K = len(systems), state.n_coords
     budget = math.ceil(max_equiv_iters * K - 1e-9)
@@ -373,16 +379,14 @@ def iterate(systems: list[StationaritySystem], state: SolverState,
     owner = np.array([seen.setdefault((id(s), id(r)), i)
                       for i, (s, r) in enumerate(zip(systems, references))])
     refs = [reference_coordinates(s, r) for s, r in zip(systems, references)]
-    # each trial's state where it stops, written into `state` in place
-    d2, c2 = state.d2.reshape(T, K), state.c2.reshape(T, K)
-    fired = np.zeros(T, dtype=np.int64) + state.fired_updates
+    fired = state.fired_updates.astype(np.int64)
     converged = np.zeros(T, dtype=bool)
     kept = []   # (trial, fired, objective, residual, dist) of the rows kept
     trial = np.argsort(owner, kind="stable")   # live, each owner's together
-    live = SolverState(c2=c2[trial].reshape(state.c2.shape),   # one state stays
-                       d2=d2[trial].reshape(state.d2.shape))   # a vector
+    dc = np.stack([state.d2[trial], state.c2[trial]])   # the live d2 and c2
     count = fired[trial]   # the live trials' fired_updates
     while len(trial):
+        live = SolverState(c2=dc[1], d2=dc[0])   # ticked in place
         marks, tick = advance(live, trial, count, budget, units)
         W = marks.shape[1] - 1
         unit, spent = marks // K, marks >= budget
@@ -395,12 +399,12 @@ def iterate(systems: list[StationaritySystem], state: SolverState,
         stop = W + 1 - spent.sum(axis=1)
         # the stack is kept at the start and after the ticks a trial needs
         keep_at = (row[:, 1:] | spent[:, 1:] & ~spent[:, :-1]).any(axis=0)
-        kept_d2, kept_c2 = np.empty((2, len(trial), W + 1, K))
-        kept_d2[:, 0], kept_c2[:, 0] = live.d2, live.c2
+        snaps = np.empty((W + 1, *dc.shape))
+        snaps[0] = dc
         for w, keep in enumerate(keep_at.tolist()):
             tick(w)
             if keep:
-                kept_d2[:, w + 1], kept_c2[:, w + 1] = live.d2, live.c2
+                snaps[w + 1] = dc
         i, j = np.nonzero(row)   # each trial's rows in order
         if len(i):
             rows = [trial[i], marks[i, j], *np.empty((3, len(i)))]
@@ -410,8 +414,8 @@ def iterate(systems: list[StationaritySystem], state: SolverState,
                 cuts[1:1] = (np.flatnonzero(own[1:] != own[:-1]) + 1).tolist()
             for a, b in zip(cuts, cuts[1:]):
                 rows[2][a:b], rows[3][a:b], rows[4][a:b] = Trajectory.measure(
-                    systems[own[a]], kept_d2[i[a:b], j[a:b]],
-                    kept_c2[i[a:b], j[a:b]], refs[own[a]])
+                    systems[own[a]], snaps[j[a:b], 0, i[a:b]],
+                    snaps[j[a:b], 1, i[a:b]], refs[own[a]])
             met = rows[3] <= tol
             if met.any():   # a trial stops at its first row at tol
                 first = np.full(len(trial), W + 1)
@@ -423,18 +427,13 @@ def iterate(systems: list[StationaritySystem], state: SolverState,
         gone = stop <= W
         count = marks[:, -1]
         if gone.any():   # rolled back to their stops, they leave the stack
-            i = np.flatnonzero(gone)
-            d2[trial[i]], c2[trial[i]] = kept_d2[i, stop[i]], kept_c2[i, stop[i]]
-            fired[trial[i]] = marks[i, stop[i]]
+            i, t = np.flatnonzero(gone), trial[gone]
+            state.d2[t], state.c2[t] = snaps[stop[i], 0, i], snaps[stop[i], 1, i]
+            fired[t] = marks[i, stop[i]]
             keep = ~gone
-            trial, count = trial[keep], count[keep]
-            if len(trial):
-                live = SolverState(c2=live.c2[keep], d2=live.d2[keep])
+            trial, count, dc = trial[keep], count[keep], dc[:, keep]
 
-    if state.d2.ndim == 1:
-        state.fired_updates, state.converged = int(fired[0]), bool(converged[0])
-    else:
-        state.fired_updates, state.converged = fired, converged
+    state.fired_updates, state.converged = fired, converged
     trial, at, objective, residual, dist = (np.concatenate(a) for a in zip(*kept))
     order = np.argsort(trial, kind="stable")
     bounds = np.cumsum(np.bincount(trial, minlength=T))[:-1]
@@ -453,26 +452,27 @@ def _engine_step(systems: list[StationaritySystem],
     A window is `units` ticks of K updates (randomk and distributed fire to
     each unit end, and stop at the budget), or as many Bernoulli ticks as the
     largest p takes to fire that many units on average.  A tick takes gamma
-    of the unit it starts in.  sync and bernoulli trials tick as one stack,
-    and one state steps with sync_step or async_tick; the other modes fire
-    through coordinate_kernel, one trial after another.  Lookup j of W
-    workers is worker j % W's next draw; it is issued W - 1 lookups ahead of
-    the update that applies it and takes gamma of the unit it is issued in,
-    so their ticks are split at those units' ends.
+    of the unit it starts in.  sync and bernoulli trials tick through
+    sync_step or async_tick: one live trial on its system and its row of the
+    stack, more on a system of their G' and e stacked, restacked when one
+    leaves.  The other modes fire through coordinate_kernel, one trial after
+    another.  Lookup j of W workers is worker j % W's next draw; it is issued
+    W - 1 lookups ahead of the update that applies it and takes gamma of the
+    unit it is issued in, so their ticks are split at those units' ends.
     """
     mode, K = schedules[0].mode, state.n_coords
-    fired = np.reshape(state.fired_updates, -1).tolist()
+    fired = state.fired_updates.tolist()
     delays = [s.workers - 1 if mode == "distributed" else 0 for s in schedules]
     rngs = [[np.random.default_rng([s.seed, i]) for i in range(s.workers)] if d
             else [np.random.default_rng([s.seed, f] if f else s.seed)]
             for s, f, d in zip(schedules, fired, delays)]
-    # gamma by unit, one table row per distinct schedule, grown as units are
-    # reached, and its rows as lists for the coordinate modes
+    # gamma by unit, one table row per distinct schedule, each unit tabulated
+    # once as it is reached, and its rows as lists for the coordinate modes
     gammas = {}
     gamma_row = np.array([gammas.setdefault(s.gamma, len(gammas))
                           for s in schedules])
     table, table_lists = np.empty((len(gammas), 0)), []
-    stacked = ((), ())   # the live trials' G' and e, stacked
+    stacked = None   # a system of the live trials' G' and e, stacked
     if mode not in ("sync", "bernoulli"):   # eta = 1 without a delay
         kernels = [coordinate_kernel(s, d, 1.0 / (1.0 + 2.0 * d / math.sqrt(K)))
                    for s, d in zip(systems, delays)]
@@ -496,29 +496,26 @@ def _engine_step(systems: list[StationaritySystem],
         if max(delays):   # lookups are issued up to W - 1 past the last update
             top = max(top, (int(marks[:, -1].max()) + max(delays) - 1) // K)
         if top >= table.shape[1]:
-            n = max(top + 1, 2 * table.shape[1])
-            table = np.array([[fn(u) for u in range(1, n + 1)] for fn in gammas])
+            n, done = max(top + 1, 2 * table.shape[1]), table.shape[1]
+            table = np.hstack([table, [[fn(u) for u in range(done + 1, n + 1)]
+                                       for fn in gammas]])
             table_lists = table.tolist()
 
         if mode in ("sync", "bernoulli"):
             gamma = table[gamma_row[trial][:, None], unit]
-            if live.c2.ndim == 1:   # one state
-                system, gamma = systems[0], gamma[0].tolist()
-                if mode == "sync":
-                    return marks, lambda w: sync_step(live, system, gamma[w])
-                return marks, lambda w: async_tick(live, system, fires[0, w],
-                                                   gamma[w])
-            if len(stacked[1]) != len(trial):
-                stacked = [np.stack([getattr(systems[t], name) for t in trial.tolist()])
-                           for name in ("Gprime", "e")]
-
-            def tick(w: int) -> None:   # each trial's product with its own G'
-                c2 = systems[0].m(live.d2, gamma[:, w, None])
-                live.c2 = c2 if mode == "sync" else np.where(fires[:, w], c2,
-                                                             live.c2)
-                live.d2 = np.matmul(stacked[0], live.c2[..., None])[..., 0] + stacked[1]
-
-            return marks, tick
+            if len(trial) == 1:   # its own system, on the stack's row
+                ticked = SolverState(c2=live.c2[0], d2=live.d2[0])
+                system, gamma = systems[trial[0]], gamma[0].tolist()
+            else:   # each trial's product with its own G'
+                if stacked is None or len(stacked.e) != len(trial):
+                    stacked = replace(systems[0], **{
+                        name: np.stack([getattr(systems[t], name) for t in trial])
+                        for name in ("Gprime", "e")})
+                ticked, system, gamma = live, stacked, gamma.T[..., None]
+            if mode == "sync":
+                return marks, lambda w: sync_step(ticked, system, gamma[w])
+            fires = fires[0] if len(trial) == 1 else fires.swapaxes(0, 1)
+            return marks, lambda w: async_tick(ticked, system, fires[w], gamma[w])
 
         # each trial's lookups of the window, issued from 0 or delay ahead of
         # its updates, and the issue index each tick's lookups end at
@@ -536,8 +533,7 @@ def _engine_step(systems: list[StationaritySystem],
                     mine = coords[(worker - ends[0]) % len(streams)::len(streams)]
                     mine[:] = rng.integers(K, size=len(mine))
                 coords = coords.tolist()
-            fire.append((kernels[t], live.d2.reshape(-1, K)[i],
-                         live.c2.reshape(-1, K)[i], coords, ends, delay,
+            fire.append((kernels[t], live.d2[i], live.c2[i], coords, ends, delay,
                          table_lists[gamma_row[t]]))
 
         def tick(w: int) -> None:
@@ -575,8 +571,12 @@ def run(system: StationaritySystem, schedule: ScheduleConfig,
     elif state.fired_updates and schedule.mode == "distributed" \
             and schedule.workers > 1:
         raise ValueError("a distributed run of several workers cannot resume")
-    traj, = iterate([system], state, _engine_step([system], [schedule], state),
+    stack = SolverState(state.c2[None], state.d2[None],
+                        np.array([state.fired_updates]))
+    traj, = iterate([system], stack, _engine_step([system], [schedule], stack),
                     max_equiv_iters, tol, [reference])
+    state.fired_updates = int(stack.fired_updates[0])
+    state.converged = bool(stack.converged[0])
     return state, traj
 
 
@@ -612,9 +612,10 @@ def run_trials(systems: list[StationaritySystem],
     each trial's product with its own G'; trials that share a system and a
     reference (the same objects) are measured together.
     """
-    if not systems or len(systems) != len(schedules):
-        raise ValueError("run_trials needs one schedule per system, and at "
-                         "least one trial")
+    if not systems or len(systems) != len(schedules) or (
+            references is not None and len(references) != len(systems)):
+        raise ValueError("run_trials needs one schedule (and one reference, "
+                         "if any) per system, and at least one trial")
     s0 = systems[0]
     if len({s.mode for s in schedules}) > 1 or any(
             not (np.array_equal(s.nl_sign, s0.nl_sign)
@@ -625,10 +626,9 @@ def run_trials(systems: list[StationaritySystem],
     trajectories = iterate(systems, state,
                            _engine_step(systems, schedules, state),
                            max_equiv_iters, tol, references)
-    return [(SolverState(c2=state.c2[t], d2=state.d2[t],
-                         fired_updates=int(state.fired_updates[t]),
-                         converged=bool(state.converged[t])), traj)
-            for t, traj in enumerate(trajectories)]
+    return [(SolverState(c2, d2, int(fired), bool(converged)), traj)
+            for c2, d2, fired, converged, traj in zip(
+                state.c2, state.d2, state.fired_updates, state.converged, trajectories)]
 
 
 # ---------------------------------------------------------------------------

@@ -254,11 +254,9 @@ class StationaritySystem:
         return (gamma * self._base(d2)) * self.nl_sign
 
     def m_scalar(self, k: int, d: float, gamma: float = 1.0) -> float:
-        """Single-coordinate m, bit-identical to the vector path."""
-        if self.nl_is_l1[k]:
-            base = d + 2.0 if d < -1.0 else (d - 2.0 if d > 1.0 else -d)
-        else:
-            base = abs(d)
+        """Single-coordinate m, bit-identical to the vector path: the base
+        map of coordinate k's kind from the map table."""
+        base = _BASE[Kind.L1_COST if self.nl_is_l1[k] else Kind.NON_NEGATIVE](d)
         return (gamma * base) * self.nl_sign[k]
 
     # The maps below take one state, or a stack of states of this system as

@@ -267,6 +267,7 @@ _EXPERIMENT = ["experiment", "--preset", "chebyshev", "--n", "3", "--m", "6",
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--p", "2"],
+    ["solve", "--seed", "-1"],
     ["solve", "--mode", "distributed", "--workers", "0"],
     ["solve", "--homotopy", "bogus"],
     ["solve", "--homotopy", "ramp:1.5:10"],
@@ -276,6 +277,8 @@ _EXPERIMENT = ["experiment", "--preset", "chebyshev", "--n", "3", "--m", "6",
     _EXPERIMENT + ["--n", "0"],
     _EXPERIMENT + ["--trials", "0"],
     _EXPERIMENT + ["--p-list", ""],
+    # one group per firing probability: a repeat would count its trials twice
+    _EXPERIMENT + ["--p-list", "0.5,0.5"],
     _EXPERIMENT + ["--mode", "distributed", "--workers", "0"],
     # the generator accepts m = 0 and the encoder refuses it
     ["experiment", "--preset", "bp", "--trials", "1", "--m", "0"],

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -46,6 +48,9 @@ def test_make_gamma_forms():
     assert engine.make_gamma("bp") is engine.power_ramp
     ramp = engine.make_gamma("ramp:0.25:50")
     assert ramp(1) == pytest.approx(0.25)
+    # one spec is one schedule, so that trials naming it share a gamma row
+    assert engine.ScheduleConfig("sync", homotopy="ramp:0.25:50").gamma is ramp
+    assert engine.make_gamma("ramp:0.25:51") is not ramp
     fn = lambda k: 0.5
     assert engine.make_gamma(fn) is fn
     with pytest.raises(ValueError):
@@ -65,8 +70,18 @@ def test_schedule_config_validation():
         engine.ScheduleConfig(mode="bernoulli", p=1.5)
     with pytest.raises(ValueError):
         engine.ScheduleConfig(mode="distributed", workers=0)
+    with pytest.raises(ValueError):   # not an integer
+        engine.ScheduleConfig(mode="distributed", workers=2.0)
+    with pytest.raises(ValueError):
+        engine.ScheduleConfig(mode="bernoulli", seed=-1)
+    with pytest.raises(ValueError):
+        engine.ScheduleConfig(mode="bernoulli", seed=1.5)
     cfg = engine.ScheduleConfig(mode="bernoulli", p=1.0, homotopy="bp")
     assert cfg.gamma is engine.power_ramp
+    # numpy integers are integers
+    cfg = engine.ScheduleConfig("distributed", workers=np.int64(2),
+                                seed=np.int32(3))
+    assert cfg.workers == 2 and cfg.seed == 3
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +605,104 @@ def test_run_trials_refuses_mixed_batteries():
                                (cheb, sync), ([], [])):
         with pytest.raises(ValueError):
             engine.run_trials(systems, schedules, 10, 1e-8)
+    three, refs = _battery("cheb", 3)
+    for references in (refs[:1], refs + refs[:1]):   # fewer, or more
+        with pytest.raises(ValueError):
+            engine.run_trials(three, sync * 3, 10, 1e-8, references)
+
+
+def test_ramp_string_battery_tabulates_each_unit_once(monkeypatch):
+    # schedules made apart from one ramp spec share one gamma schedule, and
+    # so one row of the gamma table, which grows by the units it lacks
+    calls, made = Counter(), []
+    ramp = engine.geometric_ramp
+
+    def counting_ramp(alpha0, steps):
+        gamma = ramp(alpha0, steps)
+        made.append(gamma)
+
+        def counted(k):
+            calls[k] += 1
+            return gamma(k)
+        return counted
+
+    monkeypatch.setattr(engine, "geometric_ramp", counting_ramp)
+    monkeypatch.setattr(engine, "_RAMPS", {})
+    systems, refs = _battery("cheb", 3)
+    schedules = [engine.ScheduleConfig("bernoulli", p=0.5, seed=i,
+                                       homotopy="ramp:0.5:40") for i in range(6)]
+    engine.run_trials(systems * 2, schedules, 120, 0.0, refs * 2)
+    assert len(made) == 1
+    assert calls and set(calls.values()) == {1}
+    assert sorted(calls) == list(range(1, max(calls) + 1))
+    assert max(calls) >= 120
+
+
+@pytest.mark.parametrize("mode", ["sync", "bernoulli"])
+def test_every_sync_and_bernoulli_tick_is_sync_step_or_async_tick(
+        monkeypatch, mode):
+    # with the two tick functions stubbed out, a run of one trial and a
+    # stacked battery never move from the cold start: no other code ticks
+    ticks = Counter()
+
+    def stub(name):
+        def tick(state, system, *args):
+            ticks[name, state.c2.ndim] += 1
+            return 0
+        return tick
+
+    monkeypatch.setattr(engine, "sync_step", stub("sync"))
+    monkeypatch.setattr(engine, "async_tick", stub("bernoulli"))
+    systems, refs = _battery("cheb", 3)
+    schedules = _schedules(mode, 3, "bp")
+    state, _ = engine.run(systems[0], schedules[0], 20, 0.0)
+    stacked = engine.run_trials(systems, schedules, 20, 0.0, refs)
+    ends = [got for got, _ in stacked] + [state]
+    for system, got in zip(systems + systems[:1], ends):
+        assert np.array_equal(got.d2, system.e) and not got.c2.any()
+    assert ticks[mode, 1] > 0 and ticks[mode, 2] > 0   # one state, a stack
+
+
+def test_stacked_ticks_equal_one_state_ticks_row_by_row():
+    systems, _ = _battery("cheb", 3)
+    K = systems[0].n_nonlinear
+    rng = np.random.default_rng(5)
+    d2, c2 = rng.normal(size=(2, 3, K))
+    gamma = np.array([[0.3], [0.9], [1.0]])
+    stacked = dataclasses.replace(systems[0], **{
+        name: np.stack([getattr(s, name) for s in systems])
+        for name in ("Gprime", "e")})
+    fires = rng.random((3, K)) < 0.5
+    for tick, args in ((engine.sync_step, ()), (engine.async_tick, (fires,))):
+        stack = engine.SolverState(c2=c2.copy(), d2=d2.copy())
+        tick(stack, stacked, *args, gamma)
+        for t, system in enumerate(systems):
+            one = engine.SolverState(c2=c2[t].copy(), d2=d2[t].copy())
+            tick(one, system, *(a[t] for a in args), float(gamma[t, 0]))
+            assert _same(stack.c2[t], one.c2) and _same(stack.d2[t], one.d2)
+    stack = engine.SolverState(c2=c2.copy(), d2=d2.copy())
+    assert engine.async_tick(stack, stacked, fires, gamma) == fires.sum()
+
+
+def test_ticks_write_into_the_callers_arrays():
+    system = build_system(random_async_problem(np.random.default_rng(6)))
+    for tick, args in ((engine.sync_step, ()),
+                       (engine.async_tick, (np.ones(system.n_nonlinear, bool),))):
+        state = engine.init_state(system)
+        c2, d2 = state.c2, state.d2
+        before = d2.copy()
+        tick(state, system, *args, 0.5)
+        assert state.c2 is c2 and state.d2 is d2
+        assert not np.array_equal(d2, before)
+        assert np.array_equal(c2, system.m(before, 0.5))
+    # a run writes its end state into the state it resumes
+    state = engine.init_state(system)
+    c2, d2 = state.c2, state.d2
+    schedule = engine.ScheduleConfig("bernoulli", p=0.5, homotopy="bp")
+    engine.run(system, schedule, 5, 0.0, state=state)
+    assert state.c2 is c2 and state.d2 is d2 and c2.any()
+    assert state.fired_updates >= 5 * system.n_nonlinear
+    assert type(state.fired_updates) is int and state.converged is False
 
 
 def test_stacked_state_bookkeeping():
