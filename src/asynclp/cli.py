@@ -152,9 +152,12 @@ def _groups(args) -> list[tuple[str, float]]:
 
 
 # bytes of trials one engine.run_trials call may hold, by engine.trial_bytes;
-# a trial larger than this runs alone.  Timed on batteries of 4 groups:
-# at 512x200 one trial (15-17 MB) runs as fast alone as two stacked, while
-# at K = 13-64 the time per trial-group keeps falling up to 100-300 rows.
+# a trial larger than this runs alone.  Timed on batteries of 4 groups at
+# K = 13-64, which tick as one stack: the time per trial-group keeps falling
+# up to 100-300 rows.  From engine._FIRED_ROWS_K coordinates up the trials
+# tick one by one with no stacked copy of G' (a 512x200 trial of 4 groups
+# is 10-13 MB, against 16-19 MB with the copies), so there the cap bounds
+# only memory.
 _CHUNK_BYTES = 24 << 20
 
 

@@ -20,8 +20,12 @@ owns each trial's budget, trajectory rows, tol check and stop; a schedule
 supplies only its updates, as a step that reports each trial's fired counts
 over a window of ticks, then applies them.  `run` is a stack of one trial and
 `run_trials` a battery of one mode.  Every sync and bernoulli tick is
-`sync_step` or `async_tick`, in place on one trial's row or on the (T, K)
-stack; randomk, sweep and distributed fire through `coordinate_kernel`.
+`sync_step` or `async_tick`, in place on one trial's row or, below
+_FIRED_ROWS_K coordinates, on the (T, K) stack; randomk, sweep and
+distributed fire through `coordinate_kernel`.  A Bernoulli tick of one state
+from _FIRED_ROWS_K coordinates up, where few fire, adds only the fired
+columns' increments, as the incremental form does; every other tick
+rebuilds d2 = G' c2 + e.
 Rows are measured a window at a time, and a trial is rolled back to the row
 that met tol.
 
@@ -135,10 +139,12 @@ class ScheduleConfig:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
-        if not isinstance(self.workers, (int, np.integer)) or self.workers < 1:
-            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for name, least in (("workers", 1), ("seed", 0)):
+            value = getattr(self, name)   # an int or a numpy integer, not a bool
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+                    or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, "
+                                 f"got {value!r}")
         self.gamma = make_gamma(self.homotopy)
 
 
@@ -146,7 +152,8 @@ class ScheduleConfig:
 class SolverState:
     """Iteration state over the nonlinear coordinates: one trial's vectors,
     or a stack of trials' as the rows of (T, K) arrays, with per-trial
-    fired_updates and converged arrays."""
+    fired_updates and converged arrays (a stack given one number as
+    fired_updates counts its trials' updates together)."""
 
     c2: np.ndarray
     d2: np.ndarray
@@ -253,17 +260,47 @@ def sweep_step(state: SolverState, system: StationaritySystem, gamma: float = 1.
     state.fired_updates += state.n_coords
 
 
+# A Bernoulli tick of one state adds only the fired columns of G' when K is
+# at least _FIRED_ROWS_K and at most K // _FIRED_ROWS_SHARE coordinates fire.
+# Per tick, BLAS on one thread, fired columns against the full product: K =
+# 512 28 against 55 us at p = 0.2, 82 against 59 at p = 0.5; K = 256 13
+# against 17 at p = 0.2; K = 128 10.0 against 9.4 at p = 0.2 (README,
+# performance notes)
+_FIRED_ROWS_K = 256
+_FIRED_ROWS_SHARE = 4
+
+
 def async_tick(state: SolverState, system: StationaritySystem,
                fires: np.ndarray, gamma=1.0) -> int:
-    """Bernoulli tick in place, as sync_step but c2 takes m(d2) only where
-    `fires`, the tick's draw rng.random(K) < p for firing probability p (a
-    row per trial of a stack), is True.  Returns the number of coordinates
-    that fired, added to fired_updates (on a stack, all trials' together)."""
-    np.copyto(state.c2, system.m(state.d2, gamma), where=fires)
-    np.matmul(system.Gprime, state.c2[..., None], out=state.d2[..., None])
-    state.d2 += system.e
-    fired = int(np.count_nonzero(fires))
-    state.fired_updates += fired
+    """Bernoulli tick in place: c2 takes m(d2) only where `fires`, the tick's
+    draw rng.random(K) < p for firing probability p (a row per trial of a
+    stack), is True, and d2 follows.
+
+    A tick of one state with K >= _FIRED_ROWS_K coordinates, at most K //
+    _FIRED_ROWS_SHARE of them fired, adds only the fired columns' increments,
+    d2 += G'[:, F] (m(d2)[F] - c2[F]), gathered as rows of system.GprimeT; it
+    writes nothing when none fires.  Every other tick, a stack's included,
+    rebuilds d2 = G' c2 + e as sync_step does, so p = 1 is bitwise sync.
+    Returns the number of coordinates that fired.  A stack whose
+    fired_updates is an array (init_state's) adds each trial's count to its
+    entry; one state, or a stack that keeps one number (iterate's live stack,
+    whose counts the run loop takes from the draws), adds the total."""
+    K, fired = fires.shape[-1], int(np.count_nonzero(fires))
+    if K >= _FIRED_ROWS_K and fires.ndim == 1 and fired * _FIRED_ROWS_SHARE <= K:
+        at = fires.nonzero()[0]
+        if len(at):
+            new = system.m(state.d2, gamma)[at]
+            delta = new - state.c2[at]
+            state.c2[at] = new
+            state.d2 += delta @ system.GprimeT[at]
+    else:
+        np.copyto(state.c2, system.m(state.d2, gamma), where=fires)
+        np.matmul(system.Gprime, state.c2[..., None], out=state.d2[..., None])
+        state.d2 += system.e
+    if fires.ndim > 1 and isinstance(state.fired_updates, np.ndarray):
+        state.fired_updates += fires.sum(axis=-1)   # a count per trial
+    else:
+        state.fired_updates += fired
     return fired
 
 
@@ -453,12 +490,15 @@ def _engine_step(systems: list[StationaritySystem],
     each unit end, and stop at the budget), or as many Bernoulli ticks as the
     largest p takes to fire that many units on average.  A tick takes gamma
     of the unit it starts in.  sync and bernoulli trials tick through
-    sync_step or async_tick: one live trial on its system and its row of the
-    stack, more on a system of their G' and e stacked, restacked when one
-    leaves.  The other modes fire through coordinate_kernel, one trial after
-    another.  Lookup j of W workers is worker j % W's next draw; it is issued
-    W - 1 lookups ahead of the update that applies it and takes gamma of the
-    unit it is issued in, so their ticks are split at those units' ends.
+    sync_step or async_tick: below _FIRED_ROWS_K coordinates, several live
+    trials as one stack on a system of their G' and e stacked, restacked when
+    one leaves; one live trial, or any number from _FIRED_ROWS_K up, each on
+    its own system and its row of the stack, one after another, which is
+    where async_tick takes its fired columns.  The other modes fire through
+    coordinate_kernel, one trial after another.  Lookup j of W workers is
+    worker j % W's next draw; it is issued W - 1 lookups ahead of the update
+    that applies it and takes gamma of the unit it is issued in, so their
+    ticks are split at those units' ends.
     """
     mode, K = schedules[0].mode, state.n_coords
     fired = state.fired_updates.tolist()
@@ -503,19 +543,28 @@ def _engine_step(systems: list[StationaritySystem],
 
         if mode in ("sync", "bernoulli"):
             gamma = table[gamma_row[trial][:, None], unit]
-            if len(trial) == 1:   # its own system, on the stack's row
-                ticked = SolverState(c2=live.c2[0], d2=live.d2[0])
-                system, gamma = systems[trial[0]], gamma[0].tolist()
-            else:   # each trial's product with its own G'
+            # (state, system, gamma by tick, draws by tick) of each tick call
+            if len(trial) == 1 or K >= _FIRED_ROWS_K:   # each on its own row
+                draws = fires if mode == "bernoulli" else [None] * len(trial)
+                ticked = [(SolverState(c2=live.c2[i], d2=live.d2[i]), systems[t],
+                           g, f) for i, (t, g, f) in enumerate(zip(
+                               trial.tolist(), gamma.tolist(), draws))]
+            else:   # one stack, each trial's product with its own G'
                 if stacked is None or len(stacked.e) != len(trial):
                     stacked = replace(systems[0], **{
                         name: np.stack([getattr(systems[t], name) for t in trial])
                         for name in ("Gprime", "e")})
-                ticked, system, gamma = live, stacked, gamma.T[..., None]
+                ticked = [(live, stacked, gamma.T[..., None],
+                           fires.swapaxes(0, 1) if mode == "bernoulli" else None)]
             if mode == "sync":
-                return marks, lambda w: sync_step(ticked, system, gamma[w])
-            fires = fires[0] if len(trial) == 1 else fires.swapaxes(0, 1)
-            return marks, lambda w: async_tick(ticked, system, fires[w], gamma[w])
+                def tick(w: int) -> None:
+                    for rows, system, g, _ in ticked:
+                        sync_step(rows, system, g[w])
+            else:
+                def tick(w: int) -> None:
+                    for rows, system, g, f in ticked:
+                        async_tick(rows, system, f[w], g[w])
+            return marks, tick
 
         # each trial's lookups of the window, issued from 0 or delay ahead of
         # its updates, and the issue index each tick's lookups end at
@@ -587,14 +636,18 @@ def trial_bytes(system: StationaritySystem, n_schedules: int,
                 max_equiv_iters: float) -> int:
     """An upper estimate of the bytes one trial holds in run_trials, run
     under n_schedules schedules: its operators G, G' and D; for each
-    schedule, its copy of G', a window of draws and row snapshots (about 32
-    bytes a coordinate a tick, over 5 * _ROW_UPDATES coordinate-ticks:
-    Bernoulli firing at p = 0.2) and a trajectory of one row a unit (about
-    256 bytes a row while it is assembled)."""
+    schedule, a window of draws and row snapshots (about 32 bytes a
+    coordinate a tick, over 5 * _ROW_UPDATES coordinate-ticks: Bernoulli
+    firing at p = 0.2) and a trajectory of one row a unit (about 256 bytes a
+    row while it is assembled).  Below _FIRED_ROWS_K coordinates each
+    schedule's trial ticks on a stacked copy of G'; from it up the trials
+    tick one by one on their own systems, and the system holds G'^T."""
     operators = system.G.nbytes + system.Gprime.nbytes + system.D.nbytes
+    copies = 1 if system.n_nonlinear >= _FIRED_ROWS_K else n_schedules
     window = 32 * 5 * max(_ROW_UPDATES, system.n_nonlinear)
     rows = int(max_equiv_iters) + 1
-    return operators + n_schedules * (system.Gprime.nbytes + window + rows * 256)
+    return (operators + copies * system.Gprime.nbytes
+            + n_schedules * (window + rows * 256))
 
 
 def run_trials(systems: list[StationaritySystem],
@@ -608,9 +661,10 @@ def run_trials(systems: list[StationaritySystem],
 
     Trial i is run(systems[i], schedules[i], max_equiv_iters, tol,
     references[i]) from the cold start, and its (state, trajectory) is
-    bitwise that run's.  sync and bernoulli trials tick as one (T, K) array,
-    each trial's product with its own G'; trials that share a system and a
-    reference (the same objects) are measured together.
+    bitwise that run's.  Below _FIRED_ROWS_K coordinates sync and bernoulli
+    trials tick as one (T, K) array, each trial's product with its own G';
+    from it up each trial ticks on its own row, as run does.  Trials that
+    share a system and a reference (the same objects) are measured together.
     """
     if not systems or len(systems) != len(schedules) or (
             references is not None and len(references) != len(systems)):

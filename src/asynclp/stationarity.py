@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -190,6 +191,8 @@ class StationaritySystem:
     problem : AsyncFormProblem
     G : ndarray           full orthogonal operator
     Gprime : ndarray      reduced isometry over the nonlinear coordinates
+    GprimeT : ndarray     G' transposed, C-contiguous and read-only, made on
+                          first use (its rows are the columns of G')
     e : ndarray           constant offset from the eliminated affine block
     s, h : ndarray        diagonal of S and offset h of the affine maps
     affine_idx, nonlinear_idx : ndarray
@@ -244,6 +247,14 @@ class StationaritySystem:
                                        self.nonlinear_idx))
     G21 = property(lambda self: _block(self.G, self.nonlinear_idx,
                                        self.affine_idx))
+
+    @cached_property
+    def GprimeT(self) -> np.ndarray:
+        # G' is symmetric only to rounding, so its columns are gathered as
+        # the rows of a transposed copy, not read off as its rows
+        transposed = np.ascontiguousarray(self.Gprime.T)
+        transposed.setflags(write=False)
+        return transposed
 
     # -- nonlinearity over the reduced coordinates --------------------------
 

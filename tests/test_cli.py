@@ -479,6 +479,18 @@ def test_stacked_experiment_never_runs_trials_one_by_one(mode, tmp_path,
 def test_experiment_stacks_trials_in_chunks(tmp_path, monkeypatch):
     # a cap of two trials' bytes: three calls for five trials of
     # two groups, and outputs bitwise those of one stack
+    _assert_chunks_equal_one_stack(tmp_path, monkeypatch)
+
+
+def test_experiment_chunks_trials_that_tick_one_by_one(tmp_path, monkeypatch):
+    # the same with the size threshold of fired-column ticks lowered to
+    # K = 7, where trials tick one by one and trial_bytes counts one G'^T
+    # per trial in place of a stacked copy of G' per group
+    monkeypatch.setattr(engine, "_FIRED_ROWS_K", 7)
+    _assert_chunks_equal_one_stack(tmp_path, monkeypatch)
+
+
+def _assert_chunks_equal_one_stack(tmp_path, monkeypatch):
     argv = ["experiment", "--preset", "chebyshev", "--n", "3", "--m", "6",
             "--trials", "5", "--p-list", "0.4,0.9", "--max-equiv-iters", "60"]
     assert cli.main(argv + ["--out", str(tmp_path / "one")]) == 0

@@ -10,8 +10,8 @@ import pytest
 from asynclp import engine
 from asynclp.distributed import run_distributed
 from asynclp.formulation import StandardLP, to_asynchronous_form
-from asynclp.problems import (basis_pursuit_encode, chebyshev_encode,
-                              gen_basis_pursuit, gen_chebyshev)
+from asynclp.problems import (basis_pursuit_encode, basis_pursuit_recover,
+                              chebyshev_encode, gen_basis_pursuit, gen_chebyshev)
 from asynclp.stationarity import build_system
 
 from conftest import mini_fixed_problem, random_async_problem
@@ -76,6 +76,11 @@ def test_schedule_config_validation():
         engine.ScheduleConfig(mode="bernoulli", seed=-1)
     with pytest.raises(ValueError):
         engine.ScheduleConfig(mode="bernoulli", seed=1.5)
+    for flag in (True, False, np.True_):   # a bool is an int, but not a count
+        with pytest.raises(ValueError):
+            engine.ScheduleConfig(mode="distributed", workers=flag)
+        with pytest.raises(ValueError):
+            engine.ScheduleConfig(mode="bernoulli", seed=flag)
     cfg = engine.ScheduleConfig(mode="bernoulli", p=1.0, homotopy="bp")
     assert cfg.gamma is engine.power_ramp
     # numpy integers are integers
@@ -684,6 +689,25 @@ def test_stacked_ticks_equal_one_state_ticks_row_by_row():
     assert engine.async_tick(stack, stacked, fires, gamma) == fires.sum()
 
 
+def test_async_tick_counts_each_trials_fires_on_a_stack():
+    # per-trial fires of 3, 2 and 4 add 3, 2 and 4, and the tick returns 9
+    systems, _ = _battery("cheb", 3)
+    K = systems[0].n_nonlinear
+    stacked = dataclasses.replace(systems[0], **{
+        name: np.stack([getattr(s, name) for s in systems])
+        for name in ("Gprime", "e")})
+    fires = np.arange(K) < np.array([[3], [2], [4]])
+    stack = engine.init_state(systems)
+    assert engine.async_tick(stack, stacked, fires, 0.5) == 9
+    assert stack.fired_updates.tolist() == [3, 2, 4]
+    assert engine.async_tick(stack, stacked, fires, 0.5) == 9
+    assert stack.fired_updates.tolist() == [6, 4, 8]
+    # a stack that keeps one number counts its trials together
+    stack = engine.SolverState(c2=np.zeros((3, K)), d2=np.ones((3, K)))
+    engine.async_tick(stack, stacked, fires, 0.5)
+    assert stack.fired_updates == 9
+
+
 def test_ticks_write_into_the_callers_arrays():
     system = build_system(random_async_problem(np.random.default_rng(6)))
     for tick, args in ((engine.sync_step, ()),
@@ -732,6 +756,114 @@ def test_stacked_state_bookkeeping():
     assert [t.equiv_iter for t in trajectories] == [
         [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, 3.0, 4.0, 5.0],
         [3.0, 4.0, 5.0]]
+
+
+# ---------------------------------------------------------------------------
+# Bernoulli ticks that add only the fired columns of G'
+
+def _large_bp(n, seed=0):
+    """Basis pursuit n x (n * 200 // 512), as the benchmark's 512 x 200."""
+    inst = gen_basis_pursuit(n, n * 200 // 512, max(2, n // 32), seed=seed)
+    return inst, build_system(basis_pursuit_encode(inst))
+
+
+@pytest.mark.parametrize("mode", ["sync", "bernoulli"])
+def test_fired_rows_battery_equals_per_trial_runs(monkeypatch, mode):
+    # with the size threshold lowered to K = 16, each trial ticks on its own
+    # row and system, never on a stack, and Bernoulli ticks where at most K/4
+    # fire add the fired columns; run_trials is still bitwise run, and run
+    # bitwise the one-step-at-a-time reference, with p = 1 among the trials
+    monkeypatch.setattr(engine, "_FIRED_ROWS_K", 16)
+    systems, refs = _battery("bp", 5)
+    assert systems[0].n_nonlinear == 16
+    ticks = Counter()
+
+    def spy(name, tick):
+        def counted(state, *args):
+            ticks[name, state.c2.ndim] += 1
+            return tick(state, *args)
+        return counted
+
+    for name in ("sync_step", "async_tick"):
+        monkeypatch.setattr(engine, name, spy(name, getattr(engine, name)))
+    schedules = _schedules(mode, 5, "bp")
+    assert mode == "sync" or 1.0 in [s.p for s in schedules]
+    _assert_trials_equal_runs(systems, schedules, 300, 1e-8, refs)
+    step = "sync_step" if mode == "sync" else "async_tick"
+    assert ticks[step, 1] > 0 and ticks[step, 2] == 0
+    # only a fired-rows tick makes G'^T: never at p = 0.9 or 1, nor in sync
+    made = [p <= 0.5 and mode == "bernoulli" for p in (0.2, 0.5, 0.9, 1.0, 0.2)]
+    assert ["GprimeT" in vars(s) for s in systems] == made
+
+
+def test_bernoulli_p1_is_sync_above_the_fired_rows_size():
+    _, system = _large_bp(engine._FIRED_ROWS_K)
+    assert system.n_nonlinear >= engine._FIRED_ROWS_K
+    sync = engine.ScheduleConfig(mode="sync", homotopy="bp")
+    bern = engine.ScheduleConfig(mode="bernoulli", p=1.0, seed=7, homotopy="bp")
+    s1, t1 = engine.run(system, sync, max_equiv_iters=40, tol=0.0)
+    s2, t2 = engine.run(system, bern, max_equiv_iters=40, tol=0.0)
+    assert _same(s1.d2, s2.d2) and _same(s1.c2, s2.c2)
+    assert t1.residual == t2.residual
+    assert "GprimeT" not in vars(system)   # every tick rebuilt d2
+
+
+def test_a_fired_rows_tick_where_none_fires_writes_nothing():
+    _, system = _large_bp(engine._FIRED_ROWS_K)
+    K = system.n_nonlinear
+    state = engine.SolverState(c2=np.zeros(K), d2=system.e.copy())
+    state.c2[::2] = state.d2[1::2] = -0.0
+    before = state.c2.tobytes(), state.d2.tobytes()
+    assert engine.async_tick(state, system, np.zeros(K, dtype=bool), 0.5) == 0
+    assert (state.c2.tobytes(), state.d2.tobytes()) == before
+    assert state.fired_updates == 0
+
+
+def test_fired_rows_ticks_stay_on_the_rebuilt_state():
+    # each tick that adds fired columns leaves d2 within 1e-12 of G' c2 + e,
+    # and c2 is m(d2) of the state before it on the fired coordinates
+    _, system = _large_bp(512)
+    K = system.n_nonlinear
+    state, rng, taken = engine.init_state(system), np.random.default_rng(0), 0
+    for k in range(1, 501):
+        fires = rng.random(K) < 0.2
+        gamma = engine.power_ramp(k // 5 + 1)
+        want_c2 = np.where(fires, system.m(state.d2, gamma), state.c2)
+        assert engine.async_tick(state, system, fires, gamma) == fires.sum()
+        assert _same(state.c2, want_c2)
+        assert np.abs(state.d2 - (system.Gprime @ state.c2 + system.e)).max() <= 1e-12
+        taken += fires.sum() * engine._FIRED_ROWS_SHARE <= K
+    assert taken >= 490 and state.fired_updates > 500 * K // 6
+
+
+def test_fired_rows_keep_basis_pursuit_512x200_iterations(monkeypatch):
+    # the benchmark's instances unrotated, p = 0.2: the same equivalent
+    # iterations to tol as with every tick rebuilt, and ||x||_1 within 1e-12
+    for seed in range(4):
+        inst, system = _large_bp(512, seed)
+        schedule = engine.ScheduleConfig("bernoulli", p=0.2, seed=seed,
+                                         homotopy="bp")
+        fired_rows, _ = engine.run(system, schedule, 2000, 1e-8)
+        monkeypatch.setattr(engine, "_FIRED_ROWS_K", math.inf)
+        rebuilt, _ = engine.run(system, schedule, 2000, 1e-8)
+        monkeypatch.undo()
+        assert fired_rows.converged and rebuilt.converged
+        assert fired_rows.equivalent_iterations == rebuilt.equivalent_iterations
+        l1 = [np.abs(basis_pursuit_recover(system, s.d2, s.c2)).sum()
+              for s in (fired_rows, rebuilt)]
+        assert abs(l1[0] - l1[1]) <= 1e-12, seed
+
+
+def test_trial_bytes_from_the_fired_rows_size(monkeypatch):
+    # below the size threshold each schedule's trial holds a stacked copy
+    # of G'; from it up the trial holds one G'^T for all its schedules
+    _, system = _large_bp(64)
+    below = [engine.trial_bytes(system, n, 60) for n in (1, 3)]
+    monkeypatch.setattr(engine, "_FIRED_ROWS_K", 64)
+    above = [engine.trial_bytes(system, n, 60) for n in (1, 3)]
+    copy = system.Gprime.nbytes
+    assert above[0] == below[0]
+    assert above[1] == below[1] - 2 * copy
 
 
 def test_trajectory_reference_column(tmp_path):
