@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -194,14 +193,14 @@ def _battery(args, groups):
 
 
 def _csv_lines(table: np.ndarray) -> list[str]:
-    """The CSV lines `u,<row u>` of a grid table; a row bitwise equal to the
-    one before it (a stopped trial's grid repeats its last row) reuses its
-    text."""
+    """The CSV lines `u,<row u>` of a grid table, as csv.writer writes them:
+    each float as its repr, never quoted, and lines ending in \\r\\n.  A row
+    bitwise equal to the one before it (a stopped trial's grid repeats its
+    last row) reuses its text."""
     bits = table.view(np.int64)
     new = np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)]
-    body = io.StringIO()
-    csv.writer(body).writerows(table[new].tolist())
-    text = body.getvalue().splitlines(keepends=True)
+    line = ",".join(["%r"] * table.shape[1]) + "\r\n"
+    text = [line % tuple(row) for row in table[new].tolist()]
     return [f"{u},{text[i]}" for u, i in enumerate((np.cumsum(new) - 1).tolist())]
 
 

@@ -18,16 +18,16 @@ of nonlinear coordinates.
 Every schedule runs through one loop, `iterate`, over a stack of trials.  It
 owns each trial's budget, trajectory rows, tol check and stop; a schedule
 supplies only its updates, as a step that reports each trial's fired counts
-over a window of ticks, then applies them.  `run` is a stack of one trial and
-`run_trials` a battery of one mode.  Every sync and bernoulli tick is
-`sync_step` or `async_tick`, in place on one trial's row or, below
-_FIRED_ROWS_K coordinates, on the (T, K) stack; randomk, sweep and
-distributed fire through `coordinate_kernel`.  A Bernoulli tick of one state
-from _FIRED_ROWS_K coordinates up, where few fire, adds only the fired
-columns' increments, as the incremental form does; every other tick
-rebuilds d2 = G' c2 + e.
-Rows are measured a window at a time, and a trial is rolled back to the row
-that met tol.
+over a window of ticks, then runs the window, keeping the stack after the
+ticks that the rows need.  `run` is a stack of one trial and `run_trials` a
+battery of one mode.  Every sync and bernoulli tick is `sync_step` or
+`async_tick`, in place on one trial's row or, below _FIRED_ROWS_K
+coordinates, on the (T, K) stack; randomk, sweep and distributed fire
+through `coordinate_kernel`, one call per trial per window.  A Bernoulli
+tick of one state from _FIRED_ROWS_K coordinates up, where few fire, adds
+only the fired columns' increments, as the incremental form does; every
+other tick rebuilds d2 = G' c2 + e.  Rows are measured a window at a time,
+and a trial is rolled back to the row that met tol.
 
 Because G' is an isometry and every m is non-expansive, the iteration map has
 Lipschitz constant exactly 1: convergence sits on the boundary.  A homotopy
@@ -206,42 +206,79 @@ def simultaneous_sweep_step(state: SolverState, system: StationaritySystem,
 
 
 def coordinate_kernel(system: StationaritySystem, delay: int = 0, eta: float = 1.0,
-                      ) -> Callable[[np.ndarray, np.ndarray, object, float], None]:
-    """fire(d2, c2, coords, gamma): the incremental updates of randomk, sweep
-    and the distributed workers on one state's vectors, one coordinate of
-    `coords` after another.
+                      ) -> Callable[..., None]:
+    """fire(d2, c2, coords, ends, gamma, keep=(), snaps=None): the incremental
+    updates of randomk, sweep and the distributed workers on one state's
+    vectors, a window of ticks per call.
+
+    The window issues the lookups ends[0], ends[0] + 1, ... of a count that
+    runs on from call to call; `coords` holds their coordinates, tick w
+    issues those up to ends[w + 1], and lookup j takes gamma[j // K], gamma
+    of the unit of K lookups it is issued in.  After tick w, where keep[w] is
+    set, d2 and c2 are written into snaps[w] (a (2, K) row pair).  d2 and c2
+    are written in place; c2 is worked on as a list, converted once a call.
 
     Coordinate k reads d_hat = d2(k) and c_hat = c2(k) when it is fired; its
     delta = eta (m_k(d_hat) - c_hat) is applied, d2 += G'[:, k] delta and
-    c2(k) += delta, `delay` reads later.  Reads in flight wait in a ring
-    carried from call to call, whose empty slots hold a zero delta; a zero
-    delta writes nothing.  m_k is m_scalar's arithmetic on Python floats, so
-    each update is bitwise distributed.worker_update's.  The caller counts the
-    updates.
+    c2(k) += delta, `delay` reads later.  With a delay, reads in flight wait
+    in a ring carried from call to call, whose empty slots hold a zero delta;
+    without one, no ring is walked.  A zero delta writes nothing.  m_k is
+    m_scalar's arithmetic on Python floats, so each update is bitwise
+    distributed.worker_update's.  The caller counts the updates.
     """
-    columns = [system.Gprime[:, k] for k in range(system.n_nonlinear)]   # views
+    K = system.n_nonlinear
+    columns = [system.Gprime[:, k] for k in range(K)]   # views
     sign, is_l1 = system.nl_sign.tolist(), system.nl_is_l1.tolist()
     ring_k, ring_delta = [0] * (delay + 1), [0.0] * (delay + 1)
-    slot, step = 0, np.empty(system.n_nonlinear)
+    slot, step = 0, np.empty(K)
+    # each delta reaches the column product through a 0-d array: a Python
+    # float operand costs the ufunc about 0.2 us more, for the same product
+    scale = np.empty(())
     add, multiply = np.add, np.multiply
 
-    def fire(d2: np.ndarray, c2_out: np.ndarray, coords, gamma: float) -> None:
+    def fire(d2: np.ndarray, c2_out: np.ndarray, coords, ends, gamma,
+             keep=(), snaps: np.ndarray | None = None) -> None:
         nonlocal slot
         c2 = c2_out.tolist()
-        for k in coords:
-            d = d2.item(k)
-            if is_l1[k]:
-                base = d + 2.0 if d < -1.0 else (d - 2.0 if d > 1.0 else -d)
-            else:
-                base = abs(d)
-            ring_k[slot] = k
-            ring_delta[slot] = eta * ((gamma * base) * sign[k] - c2[k])
-            slot = slot + 1 if slot < delay else 0
-            delta = ring_delta[slot]   # the oldest read in flight
-            if delta != 0.0:
-                k = ring_k[slot]
-                add(d2, multiply(columns[k], delta, step), d2)
-                c2[k] += delta
+        start = a = ends[0]
+        for w, b in enumerate(ends[1:]):
+            while a < b:   # the tick's lookups issued in one unit
+                c = min(b, a - a % K + K)
+                g = gamma[a // K]
+                # one loop per case, so that an update without a delay pays
+                # no test for one
+                if not delay:
+                    for k in coords[a - start:c - start]:
+                        d = d2.item(k)
+                        if is_l1[k]:
+                            base = d + 2.0 if d < -1.0 else (d - 2.0 if d > 1.0 else -d)
+                        else:
+                            base = abs(d)
+                        delta = eta * ((g * base) * sign[k] - c2[k])
+                        if delta != 0.0:
+                            scale[()] = delta
+                            add(d2, multiply(columns[k], scale, step), d2)
+                            c2[k] += delta
+                else:
+                    for k in coords[a - start:c - start]:
+                        d = d2.item(k)
+                        if is_l1[k]:
+                            base = d + 2.0 if d < -1.0 else (d - 2.0 if d > 1.0 else -d)
+                        else:
+                            base = abs(d)
+                        ring_k[slot] = k
+                        ring_delta[slot] = eta * ((g * base) * sign[k] - c2[k])
+                        slot = slot + 1 if slot < delay else 0
+                        delta = ring_delta[slot]   # the oldest read in flight
+                        if delta != 0.0:
+                            k = ring_k[slot]
+                            scale[()] = delta
+                            add(d2, multiply(columns[k], scale, step), d2)
+                            c2[k] += delta
+                a = c
+            if keep and keep[w]:
+                snaps[w, 0] = d2
+                snaps[w, 1] = c2
         c2_out[:] = c2
 
     return fire
@@ -250,14 +287,15 @@ def coordinate_kernel(system: StationaritySystem, delay: int = 0, eta: float = 1
 def incremental_step(state: SolverState, system: StationaritySystem, k: int,
                      gamma: float = 1.0) -> None:
     """Fire coordinate k against the current state (column-increment form)."""
-    coordinate_kernel(system)(state.d2, state.c2, (k,), gamma)
+    coordinate_kernel(system)(state.d2, state.c2, (k,), (0, 1), (gamma,))
     state.fired_updates += 1
 
 
 def sweep_step(state: SolverState, system: StationaritySystem, gamma: float = 1.0) -> None:
     """One in-order pass of incremental updates (each sees the latest d2)."""
-    coordinate_kernel(system)(state.d2, state.c2, range(state.n_coords), gamma)
-    state.fired_updates += state.n_coords
+    K = state.n_coords
+    coordinate_kernel(system)(state.d2, state.c2, range(K), (0, K), (gamma,))
+    state.fired_updates += K
 
 
 # A Bernoulli tick of one state adds only the fired columns of G' when K is
@@ -401,9 +439,11 @@ def iterate(systems: list[StationaritySystem], state: SolverState,
     trial, fired, budget, units) gets their stack, their indices, their
     fired_updates and the window's length, max(_ROW_UNITS, _ROW_UPDATES //
     K) units, and returns `marks`, their fired_updates at the window's start
-    and after each of its W ticks ((n, W + 1)), and tick(w), which applies
-    tick w to the stack in place.  The window's rows are measured after it,
-    from the stack kept after each tick: one Trajectory.measure call per owner
+    and after each of its W ticks ((n, W + 1)), and run(keep, snaps), which
+    applies the window's ticks to the stack in place and writes the stack
+    into snaps[w + 1] ((2, n, K): d2, then c2) after each tick w whose
+    keep[w] is set.  The window's rows are measured after it, from those
+    snapshots: one Trajectory.measure call per owner
     (trials that share a system and a reference object), each row bitwise
     its one-state value.  A trial that stopped inside the window is rolled
     back to its stop, fired_updates included, and leaves the stack.
@@ -424,7 +464,7 @@ def iterate(systems: list[StationaritySystem], state: SolverState,
     count = fired[trial]   # the live trials' fired_updates
     while len(trial):
         live = SolverState(c2=dc[1], d2=dc[0])   # ticked in place
-        marks, tick = advance(live, trial, count, budget, units)
+        marks, run = advance(live, trial, count, budget, units)
         W = marks.shape[1] - 1
         unit, spent = marks // K, marks >= budget
         # the rows at marks[:, j]: at the start, then at the ticks that end a
@@ -438,10 +478,7 @@ def iterate(systems: list[StationaritySystem], state: SolverState,
         keep_at = (row[:, 1:] | spent[:, 1:] & ~spent[:, :-1]).any(axis=0)
         snaps = np.empty((W + 1, *dc.shape))
         snaps[0] = dc
-        for w, keep in enumerate(keep_at.tolist()):
-            tick(w)
-            if keep:
-                snaps[w + 1] = dc
+        run(keep_at.tolist(), snaps)
         i, j = np.nonzero(row)   # each trial's rows in order
         if len(i):
             rows = [trial[i], marks[i, j], *np.empty((3, len(i)))]
@@ -494,11 +531,12 @@ def _engine_step(systems: list[StationaritySystem],
     trials as one stack on a system of their G' and e stacked, restacked when
     one leaves; one live trial, or any number from _FIRED_ROWS_K up, each on
     its own system and its row of the stack, one after another, which is
-    where async_tick takes its fired columns.  The other modes fire through
-    coordinate_kernel, one trial after another.  Lookup j of W workers is
-    worker j % W's next draw; it is issued W - 1 lookups ahead of the update
-    that applies it and takes gamma of the unit it is issued in, so their
-    ticks are split at those units' ends.
+    where async_tick takes its fired columns.  The other modes make one
+    coordinate_kernel call per trial per window, one trial after another,
+    with the window's lookups, the issue count each tick ends at and the
+    trial's gamma by unit.  Lookup j of W workers is worker j % W's next
+    draw; it is issued W - 1 lookups ahead of the update that applies it and
+    takes gamma of the unit it is issued in.
     """
     mode, K = schedules[0].mode, state.n_coords
     fired = state.fired_updates.tolist()
@@ -556,46 +594,45 @@ def _engine_step(systems: list[StationaritySystem],
                         for name in ("Gprime", "e")})
                 ticked = [(live, stacked, gamma.T[..., None],
                            fires.swapaxes(0, 1) if mode == "bernoulli" else None)]
-            if mode == "sync":
-                def tick(w: int) -> None:
-                    for rows, system, g, _ in ticked:
-                        sync_step(rows, system, g[w])
-            else:
-                def tick(w: int) -> None:
+            def run(keep: list, snaps: np.ndarray) -> None:
+                for w, kept in enumerate(keep):
                     for rows, system, g, f in ticked:
-                        async_tick(rows, system, f[w], g[w])
-            return marks, tick
+                        if f is None:
+                            sync_step(rows, system, g[w])
+                        else:
+                            async_tick(rows, system, f[w], g[w])
+                    if kept:
+                        snaps[w + 1, 0], snaps[w + 1, 1] = live.d2, live.c2
+
+            return marks, run
 
         # each trial's lookups of the window, issued from 0 or delay ahead of
-        # its updates, and the issue index each tick's lookups end at
+        # its updates, and the issue index each tick's lookups end at; a sweep
+        # counts from the unit its first pass starts in, so that each pass
+        # takes that unit's gamma
         fire = []
         for i, t in enumerate(trial.tolist()):
             delay, streams = delays[t], rngs[t]
-            ends = (marks[i] + delay).tolist()
-            if not fired[i, 0]:   # the first lookups
-                ends[0] = 0
             if mode == "sweep":
+                ends = (marks[i] - fired[i, 0] % K).tolist()
                 coords = list(range(K)) * units
             else:   # lookup j is worker j % W's
+                ends = (marks[i] + delay).tolist()
+                if not fired[i, 0]:   # the first lookups
+                    ends[0] = 0
                 coords = np.empty(ends[-1] - ends[0], dtype=np.int64)
                 for worker, rng in enumerate(streams):
                     mine = coords[(worker - ends[0]) % len(streams)::len(streams)]
                     mine[:] = rng.integers(K, size=len(mine))
                 coords = coords.tolist()
-            fire.append((kernels[t], live.d2[i], live.c2[i], coords, ends, delay,
+            fire.append((kernels[t], live.d2[i], live.c2[i], coords, ends,
                          table_lists[gamma_row[t]]))
 
-        def tick(w: int) -> None:
-            for kernel, d2, c2, coords, ends, delay, gamma in fire:
-                a, b, start = ends[w], ends[w + 1], ends[0]
-                if not delay:   # gamma of the unit the tick starts in
-                    kernel(d2, c2, coords[a - start:b - start], gamma[a // K])
-                while delay and a < b:   # of the unit each lookup is issued in
-                    c = min(b, a - a % K + K)
-                    kernel(d2, c2, coords[a - start:c - start], gamma[a // K])
-                    a = c
+        def run(keep: list, snaps: np.ndarray) -> None:
+            for i, (kernel, *window) in enumerate(fire):
+                kernel(*window, keep, snaps[1:, :, i])
 
-        return marks, tick
+        return marks, run
 
     return advance
 

@@ -698,6 +698,10 @@ def test_csv_lines_equal_a_plain_writer():
     table[6:8] = table[5]
     table[5:8, 2] = np.nan
     table[30:32, 5] = 1e-300
+    # floats whose repr is not plain digits: infinities, exponents and the
+    # smallest subnormal
+    table[10, :4] = np.inf, -np.inf, 1e16, 1e-5
+    table[11:13, 0] = 5e-324
     assert cli._csv_lines(table) == _plain_csv_lines(table)
     assert cli._csv_lines(table[:1]) == _plain_csv_lines(table[:1])
 

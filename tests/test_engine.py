@@ -476,6 +476,96 @@ def test_randomk_measures_rows_a_window_at_a_time(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the coordinate kernel, a window of ticks per call
+
+@pytest.mark.parametrize("delay", [0, 2])
+@pytest.mark.parametrize("kind", _WINDOW_SYSTEMS)
+def test_kernel_window_equals_unit_by_unit_calls(kind, delay):
+    # one call for a window of ticks of uneven lengths (one empty, some
+    # crossing unit ends, issued from mid-unit) gives bitwise what one call
+    # per run of lookups issued in one unit gives, with gamma of that unit
+    # (a ramp, so it changes inside the window), and snapshots exactly after
+    # the ticks that keep one
+    system = _WINDOW_SYSTEMS[kind]()
+    K = system.n_nonlinear
+    eta = 1.0 / (1.0 + 2.0 * delay / math.sqrt(K))
+    ramp = engine.make_gamma("ramp:0.5:6")
+    gamma = [ramp(u + 1) for u in range(8)]
+    assert len(set(gamma)) == 7
+    ends = [5, 5 + K // 2, 5 + K // 2, 3 * K + 1, 4 * K, 7 * K + 3]
+    keep = [True, False, True, True, False]
+    coords = np.random.default_rng(11).integers(K, size=ends[-1] - ends[0])
+    window = engine.coordinate_kernel(system, delay, eta)
+    by_unit = engine.coordinate_kernel(system, delay, eta)
+    d2, c2 = system.e.copy(), np.zeros(K)
+    snaps = np.full((len(keep), 2, K), np.nan)
+    window(d2, c2, coords.tolist(), ends, gamma, keep, snaps)
+    want_d2, want_c2 = system.e.copy(), np.zeros(K)
+    for w, (a, b) in enumerate(zip(ends, ends[1:])):
+        while a < b:
+            c = min(b, (a // K + 1) * K)
+            by_unit(want_d2, want_c2, coords[a - ends[0]:c - ends[0]].tolist(),
+                    (0, c - a), (gamma[a // K],))
+            a = c
+        want = np.stack([want_d2, want_c2])
+        assert snaps[w].tobytes() == (want.tobytes() if keep[w] else
+                                      np.full((2, K), np.nan).tobytes()), w
+    assert d2.tobytes() == want_d2.tobytes()
+    assert c2.tobytes() == want_c2.tobytes()
+
+
+@pytest.mark.parametrize("delay", [0, 2])
+def test_kernel_zero_delta_leaves_negative_zero_alone(delay):
+    # a coordinate at d2 = 0 with c2 = -0.0 fires a zero delta under every
+    # gamma: neither its c2 entry nor a -0.0 in d2 changes sign, in the live
+    # vectors or in the snapshots
+    system = _WINDOW_SYSTEMS["cheb"]()
+    K = system.n_nonlinear
+    d2, c2 = system.e.copy(), np.zeros(K)
+    d2[0], d2[1], c2[1] = -0.0, 0.0, -0.0
+    before = np.stack([d2, c2]).tobytes()
+    kernel = engine.coordinate_kernel(system, delay, 0.5 if delay else 1.0)
+    snaps = np.empty((3, 2, K))
+    kernel(d2, c2, [1] * (3 * K), [0, K, 2 * K, 3 * K], [0.5, 0.9, 1.0],
+           [True] * 3, snaps)
+    assert np.signbit(c2[1]) and np.signbit(d2[0])
+    assert np.stack([d2, c2]).tobytes() == before
+    assert all(snap.tobytes() == before for snap in snaps)
+
+
+@pytest.mark.parametrize("schedule", ["randomk", "distributed:3"])
+def test_coordinate_schedules_call_the_kernel_once_a_window(monkeypatch,
+                                                            schedule):
+    # K = 21: a window is 24 units, so a 250-unit trial fires in 11 kernel
+    # calls, one a window, not one a unit (or, with a delay, several a unit);
+    # a battery of three trials makes 11 calls for each trial
+    system = build_system(chebyshev_encode(gen_chebyshev(10, 20, seed=0)))
+    assert system.n_nonlinear == 21
+    calls = []   # one count per kernel made
+    make = engine.coordinate_kernel
+
+    def counted(*args):
+        fire, index = make(*args), len(calls)
+        calls.append(0)
+
+        def call(*window):
+            calls[index] += 1
+            fire(*window)
+
+        return call
+
+    monkeypatch.setattr(engine, "coordinate_kernel", counted)
+    mode, workers = (schedule.split(":") + ["1"])[:2]
+    schedules = [engine.ScheduleConfig(mode, workers=int(workers), seed=seed,
+                                       homotopy="bp") for seed in range(3)]
+    state, _ = engine.run(system, schedules[0], max_equiv_iters=250, tol=0.0)
+    assert state.fired_updates == 250 * 21 and calls == [11]
+    calls.clear()
+    engine.run_trials([system] * 3, schedules, max_equiv_iters=250, tol=0.0)
+    assert calls == [11] * 3
+
+
+# ---------------------------------------------------------------------------
 # stacked trials
 
 def _assert_trials_equal_runs(systems, schedules, budget, tol, references):

@@ -295,6 +295,42 @@ def test_multipliers_are_solved_only_at_the_optimum(monkeypatch):
     assert max(batches) <= 4
 
 
+def test_screened_blocks_equal_unscreened_ones(monkeypatch):
+    # a block of subsets is solved first and screened with slogdet only when
+    # a singular subset makes the stacked solve raise (the repeated-row and
+    # zero-row tests above reach that path); forced on every block of
+    # instances with no singular subset, it gives the same solution bitwise
+    solve, slogdet = np.linalg.solve, np.linalg.slogdet
+    pending = []   # a screen whose solve has not come yet
+    screens = []   # each screened solve's right-hand side ndim, and whether
+                   # its screen kept every matrix
+
+    def screen(a):
+        sign = slogdet(a)[0]
+        pending.append(bool((sign != 0.0).all()))
+        return sign, None
+
+    def solve_screened(a, b):
+        if not pending and b.ndim == 3:   # a block of vertex solves
+            raise np.linalg.LinAlgError("Singular matrix")
+        if pending:
+            screens.append((b.ndim, pending.pop()))
+        return solve(a, b)
+
+    for seed in range(3):
+        inst = gen_chebyshev(6, 12, seed=seed)
+        want = oracle.solve_chebyshev_reference(inst.A, inst.b)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "slogdet", screen)
+            m.setattr(np.linalg, "solve", solve_screened)
+            got = oracle.solve_chebyshev_reference(inst.A, inst.b)
+        assert want.status == got.status == "optimal"
+        assert got.objective == want.objective
+        assert np.array_equal(got.x_star, want.x_star)
+    # one block per instance, and the multipliers' own screen at its optimum
+    assert screens == [(3, True), (2, True)] * 3
+
+
 def test_oracle_enumerates_only_n_subsets(monkeypatch):
     # one enumeration decides every status, bounded or not
     ks = []
