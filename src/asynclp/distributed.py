@@ -19,10 +19,10 @@ Xu, Yan & Yin 2016); without it the delayed iteration does not converge.
 
 A run is the engine's `distributed` mode: the engine's loop, its
 random-coordinate step and engine.coordinate_kernel with delay tau, whose
-ring holds the lookups in flight.  With one worker (tau = 0, eta = 1) it is
-therefore the engine's randomk schedule.  worker_update is one update done
-eagerly, the tests' reference.  A run is deterministic for a given
-(workers, seed).
+ring holds the lookups in flight and which derives eta from tau and K, so
+one worker (tau = 0, eta = 1) is the engine's randomk.  worker_update, one
+update done eagerly with eta given, is the tests' reference.  A run is
+deterministic for a given (workers, seed).
 """
 
 from __future__ import annotations

@@ -205,7 +205,7 @@ def simultaneous_sweep_step(state: SolverState, system: StationaritySystem,
     state.fired_updates += state.n_coords
 
 
-def coordinate_kernel(system: StationaritySystem, delay: int = 0, eta: float = 1.0,
+def coordinate_kernel(system: StationaritySystem, delay: int = 0,
                       ) -> Callable[..., None]:
     """fire(d2, c2, coords, ends, gamma, keep=(), snaps=None): the incremental
     updates of randomk, sweep and the distributed workers on one state's
@@ -219,16 +219,19 @@ def coordinate_kernel(system: StationaritySystem, delay: int = 0, eta: float = 1
     are written in place; c2 is worked on as a list, converted once a call.
 
     Coordinate k reads d_hat = d2(k) and c_hat = c2(k) when it is fired; its
-    delta = eta (m_k(d_hat) - c_hat) is applied, d2 += G'[:, k] delta and
-    c2(k) += delta, `delay` reads later.  With a delay, reads in flight wait
-    in a ring carried from call to call, whose empty slots hold a zero delta;
-    without one, no ring is walked.  A zero delta writes nothing.  m_k is
-    m_scalar's arithmetic on Python floats, so each update is bitwise
-    distributed.worker_update's.  The caller counts the updates.
+    delta = eta (m_k(d_hat) - c_hat), with ARock's eta = 1 / (1 + 2 delay /
+    sqrt(K)) (1 without a delay), is applied `delay` reads later: d2 +=
+    G'[:, k] delta and c2(k) += delta.  Reads in flight wait in a ring carried
+    from call to call, whose empty slots hold a zero delta.  A zero delta
+    writes nothing.  m_k is the map table's float form of k's base map, so
+    each update is bitwise distributed.worker_update's.  The caller counts
+    the updates.
     """
     K = system.n_nonlinear
+    eta = 1.0 / (1.0 + 2.0 * delay / math.sqrt(K))
     columns = [system.Gprime[:, k] for k in range(K)]   # views
-    sign, is_l1 = system.nl_sign.tolist(), system.nl_is_l1.tolist()
+    sign = system.nl_sign.tolist()
+    base = [system.base_maps(k)[1] for k in range(K)]   # float forms
     ring_k, ring_delta = [0] * (delay + 1), [0.0] * (delay + 1)
     slot, step = 0, np.empty(K)
     # each delta reaches the column product through a 0-d array: a Python
@@ -246,28 +249,19 @@ def coordinate_kernel(system: StationaritySystem, delay: int = 0, eta: float = 1
                 c = min(b, a - a % K + K)
                 g = gamma[a // K]
                 # one loop per case, so that an update without a delay pays
-                # no test for one
+                # no test for one, nor its eta of 1
                 if not delay:
                     for k in coords[a - start:c - start]:
-                        d = d2.item(k)
-                        if is_l1[k]:
-                            base = d + 2.0 if d < -1.0 else (d - 2.0 if d > 1.0 else -d)
-                        else:
-                            base = abs(d)
-                        delta = eta * ((g * base) * sign[k] - c2[k])
+                        delta = (g * base[k](d2.item(k))) * sign[k] - c2[k]
                         if delta != 0.0:
                             scale[()] = delta
                             add(d2, multiply(columns[k], scale, step), d2)
                             c2[k] += delta
                 else:
                     for k in coords[a - start:c - start]:
-                        d = d2.item(k)
-                        if is_l1[k]:
-                            base = d + 2.0 if d < -1.0 else (d - 2.0 if d > 1.0 else -d)
-                        else:
-                            base = abs(d)
                         ring_k[slot] = k
-                        ring_delta[slot] = eta * ((g * base) * sign[k] - c2[k])
+                        ring_delta[slot] = eta * ((g * base[k](d2.item(k)))
+                                                  * sign[k] - c2[k])
                         slot = slot + 1 if slot < delay else 0
                         delta = ring_delta[slot]   # the oldest read in flight
                         if delta != 0.0:
@@ -551,9 +545,8 @@ def _engine_step(systems: list[StationaritySystem],
                           for s in schedules])
     table, table_lists = np.empty((len(gammas), 0)), []
     stacked = None   # a system of the live trials' G' and e, stacked
-    if mode not in ("sync", "bernoulli"):   # eta = 1 without a delay
-        kernels = [coordinate_kernel(s, d, 1.0 / (1.0 + 2.0 * d / math.sqrt(K)))
-                   for s, d in zip(systems, delays)]
+    if mode not in ("sync", "bernoulli"):
+        kernels = [coordinate_kernel(s, d) for s, d in zip(systems, delays)]
 
     def advance(live: SolverState, trial: np.ndarray, fired: np.ndarray,
                 budget: int, units: int):

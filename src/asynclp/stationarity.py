@@ -145,7 +145,9 @@ def m1(d):
 # The map table of the module docstring (input side; outputs negate both).
 _SIGN = {Role.INPUT: 1.0, Role.OUTPUT: -1.0}
 _AFFINE_SLOPE = {Kind.FIXED: -1.0, Kind.LINEAR_COST: 1.0}
-_BASE = {Kind.NON_NEGATIVE: np.abs, Kind.L1_COST: m1}
+_BASE = {Kind.NON_NEGATIVE: (np.abs, abs),   # (on arrays, on floats), bitwise alike
+         Kind.L1_COST: (m1, lambda d: d + 2.0 if d < -1.0 else
+                        (d - 2.0 if d > 1.0 else -d))}
 
 
 def apply_nonlinearity(kind: Kind, role: Role, d, rho=0.0, gamma: float = 1.0):
@@ -160,7 +162,7 @@ def apply_nonlinearity(kind: Kind, role: Role, d, rho=0.0, gamma: float = 1.0):
     if kind in _AFFINE_SLOPE:
         s = sign * _AFFINE_SLOPE[kind]
         return s * d - 2.0 * s * np.asarray(rho, dtype=float)
-    return sign * (gamma * _BASE[kind](d))
+    return sign * (gamma * _BASE[kind][0](d))
 
 
 def norm(v: np.ndarray):
@@ -250,8 +252,9 @@ class StationaritySystem:
 
     @cached_property
     def GprimeT(self) -> np.ndarray:
-        # G' is symmetric only to rounding, so its columns are gathered as
-        # the rows of a transposed copy, not read off as its rows
+        # G' is not symmetric in general (it is, to rounding, only when every
+        # nonlinear coordinate sits on one side), so its columns are gathered
+        # as the rows of a transposed copy, not read off as its rows
         transposed = np.ascontiguousarray(self.Gprime.T)
         transposed.setflags(write=False)
         return transposed
@@ -264,11 +267,14 @@ class StationaritySystem:
     def m(self, d2: np.ndarray, gamma: float = 1.0) -> np.ndarray:
         return (gamma * self._base(d2)) * self.nl_sign
 
+    def base_maps(self, k: int) -> tuple:
+        """Coordinate k's base map from the map table: (on arrays, on floats)."""
+        return _BASE[Kind.L1_COST if self.nl_is_l1[k] else Kind.NON_NEGATIVE]
+
     def m_scalar(self, k: int, d: float, gamma: float = 1.0) -> float:
-        """Single-coordinate m, bit-identical to the vector path: the base
-        map of coordinate k's kind from the map table."""
-        base = _BASE[Kind.L1_COST if self.nl_is_l1[k] else Kind.NON_NEGATIVE](d)
-        return (gamma * base) * self.nl_sign[k]
+        """Single-coordinate m, bit-identical to the vector path: the array
+        form of coordinate k's base map."""
+        return (gamma * self.base_maps(k)[0](d)) * self.nl_sign[k]
 
     # The maps below take one state, or a stack of states of this system as
     # the rows of a 2-D array (engine.run_trials), and give each row bitwise
@@ -397,7 +403,7 @@ def reduce(G: np.ndarray, problem: AsyncFormProblem) -> StationaritySystem:
     h = -2.0 * s * rho
 
     nl_sign = np.repeat([_SIGN[v.role] for v in nonlinear], nl_len)
-    nl_is_l1 = np.repeat([_BASE[v.kind] is m1 for v in nonlinear], nl_len)
+    nl_is_l1 = np.repeat([v.kind is Kind.L1_COST for v in nonlinear], nl_len)
 
     G11 = _block(G, affine_idx, affine_idx)
     G12 = _block(G, affine_idx, nonlinear_idx)

@@ -10,7 +10,7 @@ from asynclp.problems import (basis_pursuit_encode, chebyshev_encode,
                               gen_basis_pursuit, gen_chebyshev)
 from asynclp.stationarity import build_system
 
-from conftest import random_async_problem
+from conftest import random_async_problem, two_sided_problem
 
 
 def _small_system(seed=0):
@@ -348,3 +348,35 @@ def test_kernel_runs_equal_the_eager_delayed_model(units):
         assert np.array_equal(run[0], d2) and np.array_equal(run[1], c2)
         assert run[2].residual == rows
         assert [rep.histogram for rep in run[3]] == hist
+
+
+def test_kernel_runs_on_two_sided_mixed_maps_equal_the_eager_model():
+    # | . | and l1 maps on both sides (each encoder has one kind on one side):
+    # the kernel's float map of each coordinate, with W = 1 and W = 3, is the
+    # eager model's array map bit for bit, over all three pieces of m1
+    system = build_system(two_sided_problem(np.random.default_rng(3)))
+    for l1 in (False, True):
+        for sign in (1.0, -1.0):
+            assert ((system.nl_is_l1 == l1) & (system.nl_sign == sign)).any()
+    l1_reads = []
+    m_scalar = system.m_scalar
+
+    def recorded(k, d, gamma=1.0):
+        if system.nl_is_l1[k]:
+            l1_reads.append(d)
+        return m_scalar(k, d, gamma)
+
+    for workers in (1, 3):
+        system.m_scalar = recorded
+        d2, c2, hist, zeros, rows = _eager_delayed_run(system, workers, 60.5,
+                                                       7, "bp")
+        del system.m_scalar
+        run = ds.run_distributed(system, workers=workers, max_equiv_iters=60.5,
+                                 tol=0.0, seed=7, homotopy="bp")
+        assert run[0].tobytes() == d2.tobytes()
+        assert run[1].tobytes() == c2.tobytes()
+        assert run[2].residual == rows
+        assert [rep.histogram for rep in run[3]] == hist
+    l1_reads = np.array(l1_reads)
+    assert (l1_reads < -1.0).any() and (abs(l1_reads) <= 1.0).any() \
+        and (l1_reads > 1.0).any()

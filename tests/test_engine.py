@@ -14,7 +14,7 @@ from asynclp.problems import (basis_pursuit_encode, basis_pursuit_recover,
                               chebyshev_encode, gen_basis_pursuit, gen_chebyshev)
 from asynclp.stationarity import build_system
 
-from conftest import mini_fixed_problem, random_async_problem
+from conftest import mini_fixed_problem, random_async_problem, two_sided_problem
 
 
 # ---------------------------------------------------------------------------
@@ -488,15 +488,14 @@ def test_kernel_window_equals_unit_by_unit_calls(kind, delay):
     # the ticks that keep one
     system = _WINDOW_SYSTEMS[kind]()
     K = system.n_nonlinear
-    eta = 1.0 / (1.0 + 2.0 * delay / math.sqrt(K))
     ramp = engine.make_gamma("ramp:0.5:6")
     gamma = [ramp(u + 1) for u in range(8)]
     assert len(set(gamma)) == 7
     ends = [5, 5 + K // 2, 5 + K // 2, 3 * K + 1, 4 * K, 7 * K + 3]
     keep = [True, False, True, True, False]
     coords = np.random.default_rng(11).integers(K, size=ends[-1] - ends[0])
-    window = engine.coordinate_kernel(system, delay, eta)
-    by_unit = engine.coordinate_kernel(system, delay, eta)
+    window = engine.coordinate_kernel(system, delay)
+    by_unit = engine.coordinate_kernel(system, delay)
     d2, c2 = system.e.copy(), np.zeros(K)
     snaps = np.full((len(keep), 2, K), np.nan)
     window(d2, c2, coords.tolist(), ends, gamma, keep, snaps)
@@ -524,7 +523,7 @@ def test_kernel_zero_delta_leaves_negative_zero_alone(delay):
     d2, c2 = system.e.copy(), np.zeros(K)
     d2[0], d2[1], c2[1] = -0.0, 0.0, -0.0
     before = np.stack([d2, c2]).tobytes()
-    kernel = engine.coordinate_kernel(system, delay, 0.5 if delay else 1.0)
+    kernel = engine.coordinate_kernel(system, delay)
     snaps = np.empty((3, 2, K))
     kernel(d2, c2, [1] * (3 * K), [0, K, 2 * K, 3 * K], [0.5, 0.9, 1.0],
            [True] * 3, snaps)
@@ -924,6 +923,30 @@ def test_fired_rows_ticks_stay_on_the_rebuilt_state():
         assert np.abs(state.d2 - (system.Gprime @ state.c2 + system.e)).max() <= 1e-12
         taken += fires.sum() * engine._FIRED_ROWS_SHARE <= K
     assert taken >= 490 and state.fired_updates > 500 * K // 6
+
+
+def test_fired_rows_tick_on_a_two_sided_system_is_the_rebuild(monkeypatch):
+    # with nonlinear coordinates on both sides G' is far from symmetric, so
+    # the fired columns must be columns of G' (rows of G'^T), not its rows:
+    # from a rebuilt state, a tick that adds them gives the rebuild tick
+    system = build_system(two_sided_problem(np.random.default_rng(5)))
+    K = system.n_nonlinear
+    assert np.abs(system.Gprime - system.Gprime.T).max() > 0.1
+    rng = np.random.default_rng(1)
+    c2 = system.m(rng.normal(scale=2.0, size=K))
+    d2 = system.Gprime @ c2 + system.e
+    fires = np.zeros(K, dtype=bool)
+    fires[[1, 6, 12]] = True   # | . | and l1 maps, inputs and outputs
+    assert "GprimeT" not in vars(system)
+    ticked = []
+    for threshold in (4, engine._FIRED_ROWS_K):   # fired columns, rebuild
+        monkeypatch.setattr(engine, "_FIRED_ROWS_K", threshold)
+        state = engine.SolverState(c2=c2.copy(), d2=d2.copy())
+        assert engine.async_tick(state, system, fires, 0.7) == 3
+        ticked.append(state)
+    assert ticked[0].c2.tobytes() == ticked[1].c2.tobytes()
+    assert np.abs(ticked[0].d2 - ticked[1].d2).max() <= 1e-12
+    assert "GprimeT" in vars(system)   # made by the fired-columns tick
 
 
 def test_fired_rows_keep_basis_pursuit_512x200_iterations(monkeypatch):

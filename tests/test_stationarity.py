@@ -9,7 +9,8 @@ from asynclp.formulation import (AsyncFormProblem, Kind, Role, StandardLP,
 from asynclp.problems import (basis_pursuit_encode, chebyshev_encode,
                               gen_basis_pursuit, gen_chebyshev)
 
-from conftest import mini_fixed_problem, random_async_problem, random_standard_lp
+from conftest import (mini_fixed_problem, random_async_problem, random_sided_system,
+                      random_standard_lp, two_sided_problem)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +109,20 @@ def test_m1_exact_values():
     assert st.m1(2.0) == 0.0
     assert st.m1(-3.0) == -1.0
     assert np.array_equal(st.m1([-1.5, 0.0, 4.0]), np.array([0.5, 0.0, 2.0]))
+
+
+def test_float_base_maps_equal_the_array_forms_bitwise():
+    # the float form of each base map (coordinate_kernel's) gives the array
+    # form's bits on every piece of m1, at its breakpoints and on signed zeros
+    system = st.build_system(two_sided_problem(np.random.default_rng(0)))
+    edge = np.nextafter(1.0, 2.0)
+    d = np.concatenate([[-0.0, 0.0, -1.0, 1.0, -edge, edge],
+                        np.random.default_rng(1).normal(scale=3.0, size=200)])
+    forms = {system.base_maps(k) for k in range(system.n_nonlinear)}
+    assert {on_arrays for on_arrays, _ in forms} == {np.abs, st.m1}
+    for on_arrays, on_floats in forms:
+        assert np.array([on_floats(x) for x in d.tolist()]).tobytes() \
+            == on_arrays(d).tobytes()
 
 
 def test_nonlinearity_table_all_eight():
@@ -252,6 +267,22 @@ def test_offset_cross_form():
         e_direct = 2.0 * system.G21 @ np.linalg.solve(
             np.eye(M + N) - S @ system.G11, v)
         assert np.abs(system.e - e_direct).max() <= 1e-10
+
+
+def test_reduced_operator_is_symmetric_only_when_one_sided():
+    # G' is orthogonal on every problem, but symmetric (to rounding) only
+    # when every nonlinear coordinate sits on one side, as in each encoder;
+    # with nonlinear coordinates on both sides it is in general far from it
+    rng = np.random.default_rng(17)
+    asymmetry = {}
+    for two_sided in (False, True):
+        asymmetry[two_sided] = []
+        for _ in range(40):
+            Gp = random_sided_system(rng, two_sided).Gprime
+            assert np.abs(Gp.T @ Gp - np.eye(len(Gp))).max() <= 1e-9
+            asymmetry[two_sided].append(np.abs(Gp - Gp.T).max())
+    assert max(asymmetry[False]) <= 1e-12
+    assert max(asymmetry[True]) > 0.1
 
 
 def test_reduced_operator_is_isometry():
